@@ -38,29 +38,33 @@ def aggregate(
     M: int,
     alpha: float,
     single_column: bool = False,
+    centres: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> Estimate:
+    """``centres`` is the column's ``(midpoints, c^-, c^+)`` (Eq. 10), as
+    cached in ``PairwiseHist.column_state``; it is computed from ``hist``
+    when not given."""
     fn = _DISPATCH[func]
-    return fn(w, hist, rho, M, alpha, single_column)
+    if centres is None:
+        centres = (hist.midpoints, *hist.centre_bounds(M, alpha))
+    return fn(w, hist, rho, M, alpha, single_column, centres)
 
 
-def _count(w, hist, rho, M, alpha, single_column) -> Estimate:
+def _count(w, hist, rho, M, alpha, single_column, centres) -> Estimate:
     return Estimate(w.est.sum() / rho, w.lo.sum() / rho, w.hi.sum() / rho)
 
 
-def _sum(w, hist, rho, M, alpha, single_column) -> Estimate:
-    c = hist.midpoints
-    c_lo, c_hi = hist.centre_bounds(M, alpha)
+def _sum(w, hist, rho, M, alpha, single_column, centres) -> Estimate:
+    c, c_lo, c_hi = centres
     return Estimate(
         float(w.est @ c) / rho, float(w.lo @ c_lo) / rho, float(w.hi @ c_hi) / rho
     )
 
 
-def _avg(w, hist, rho, M, alpha, single_column) -> Estimate:
+def _avg(w, hist, rho, M, alpha, single_column, centres) -> Estimate:
     tot = w.est.sum()
     if tot <= _EPS:
         return _none()
-    c = hist.midpoints
-    c_lo, c_hi = hist.centre_bounds(M, alpha)
+    c, c_lo, c_hi = centres
     est = float(w.est @ c) / tot
     los, his = [], []
     for wv in (w.lo, w.hi):
@@ -83,7 +87,7 @@ def _last(vec: np.ndarray, thresh: float = _EPS) -> int | None:
     return int(idx[-1]) if len(idx) else None
 
 
-def _min(w, hist, rho, M, alpha, single_column) -> Estimate:
+def _min(w, hist, rho, M, alpha, single_column, centres) -> Estimate:
     t = _first(w.est)
     if t is None:
         return _none()
@@ -116,7 +120,7 @@ def _min(w, hist, rho, M, alpha, single_column) -> Estimate:
     return Estimate(float(est), float(lo), float(hi))
 
 
-def _max(w, hist, rho, M, alpha, single_column) -> Estimate:
+def _max(w, hist, rho, M, alpha, single_column, centres) -> Estimate:
     t = _last(w.est)
     if t is None:
         return _none()
@@ -156,7 +160,7 @@ def _median_bin(wv: np.ndarray) -> int | None:
     return int(idx[0]) if len(idx) else None
 
 
-def _median(w, hist, rho, M, alpha, single_column) -> Estimate:
+def _median(w, hist, rho, M, alpha, single_column, centres) -> Estimate:
     t = _median_bin(w.est)
     if t is None:
         return _none()
@@ -175,11 +179,11 @@ def _median(w, hist, rho, M, alpha, single_column) -> Estimate:
     return Estimate(float(est), float(min(vlo[t_lo], est)), float(max(vhi[t_hi], est)))
 
 
-def _var(w, hist, rho, M, alpha, single_column) -> Estimate:
+def _var(w, hist, rho, M, alpha, single_column, centres) -> Estimate:
     tot = w.est.sum()
     if tot <= _EPS:
         return _none()
-    c = hist.midpoints
+    c = centres[0]
     mean = float(w.est @ c) / tot
     est = float(w.est @ (c**2)) / tot - mean**2
     vlo, vhi = hist.vmin, hist.vmax

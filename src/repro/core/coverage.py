@@ -77,10 +77,6 @@ def region_intersect(r1: Region, r2: Region) -> Region:
     return tuple(sorted(out))
 
 
-def region_is_full(r: Region) -> bool:
-    return r == FULL
-
-
 class Coverage(NamedTuple):
     """Estimated coverage vector plus lower/upper bounds (Eqs. 14, 22–23)."""
 
@@ -90,38 +86,60 @@ class Coverage(NamedTuple):
 
 
 def region_coverage(region: Region, view: HistView, M: int, alpha: float) -> Coverage:
-    """Coverage of ``region`` for every bin of ``view``."""
-    vmin, vmax = view.vmin, view.vmax
-    u = view.uniq.astype(np.float64)
-    h = view.counts.astype(np.float64)
-    k = len(h)
+    """Coverage of ``region`` for every bin of ``view``.
+
+    The bins of a view are sorted and disjoint: an occupied bin ``t`` holds
+    values in ``[e_t, e_{t+1})`` (the last bin also takes its upper edge).
+    So an interval covers every occupied bin strictly between the two bins
+    its ends fall in, and only those two end bins can be covered in part.
+    """
+    edges, uniq = view.edges, view.uniq
+    k = len(uniq)
     beta = np.zeros(k)
-    occupied = view.uniq > 0
+    touched: set[int] = set()
     for a, b in region:
-        cl = np.maximum(a, vmin)
-        ch = np.minimum(b, vmax)
-        valid = (cl <= ch) & occupied
-        full = valid & (a <= vmin) & (b >= vmax)
-        beta[full] += 1.0
-        part = valid & ~full
-        if not part.any():
-            continue
-        # u == 2: only the extrema exist; a partial interval covers one
-        # extremum (0.5 each, Eq. 16 row 3) or neither (0).
-        u2 = part & (view.uniq == 2)
-        if u2.any():
-            covers = (cl[u2] <= vmin[u2]).astype(float) + (ch[u2] >= vmax[u2]).astype(float)
-            beta[u2] += 0.5 * covers
-        # Single covered point in a multi-valued bin: equality (Eq. 15).
-        rest = part & (view.uniq > 2)
-        if rest.any():
-            point = rest & (cl == ch)
-            beta[point] += 1.0 / u[point]
-            frac = rest & (cl < ch)
-            beta[frac] += (ch[frac] - cl[frac] + 1.0) / (vmax[frac] - vmin[frac] + 1.0)
-    beta = np.clip(beta, 0.0, 1.0)
-    lo, hi = coverage_bounds(beta, h, view.uniq, M, alpha)
+        t_a = min(max(int(edges.searchsorted(a, "right")) - 1, 0), k - 1)
+        t_b = min(max(int(edges.searchsorted(b, "right")) - 1, 0), k - 1)
+        if t_b > t_a + 1:
+            beta[t_a + 1 : t_b] += uniq[t_a + 1 : t_b] > 0
+        for t in {t_a, t_b}:
+            beta[t] += _end_bin_coverage(
+                float(a), float(b), float(view.vmin[t]), float(view.vmax[t]), int(uniq[t])
+            )
+        touched.update((t_a, t_b))
+    np.minimum(beta, 1.0, out=beta)  # the clip to [0, 1]: no term is negative
+    lo = beta.copy()
+    hi = beta.copy()
+    # Bins strictly inside an interval have beta in {0, 1}, where the
+    # bounds equal beta; only fractional end bins need Eqs. 22–23.
+    idx = sorted(touched)
+    if any(0.0 < beta[t] < 1.0 for t in idx):
+        idx = np.array(idx)
+        lo[idx], hi[idx] = coverage_bounds(
+            beta[idx], view.counts[idx].astype(np.float64), uniq[idx], M, alpha
+        )
     return Coverage(beta, lo, hi)
+
+
+def _end_bin_coverage(a: float, b: float, vmin: float, vmax: float, u: int) -> float:
+    """Coverage of ``[a, b]`` for one bin with extrema ``vmin``/``vmax`` and
+    ``u`` unique values (Eqs. 15–16)."""
+    cl = max(a, vmin)
+    ch = min(b, vmax)
+    if u <= 0 or cl > ch:
+        return 0.0
+    if a <= vmin and b >= vmax:
+        return 1.0
+    if u == 2:
+        # Only the extrema exist; a partial interval covers one extremum
+        # (0.5 each, Eq. 16 row 3) or neither (0).
+        return 0.5 * ((cl <= vmin) + (ch >= vmax))
+    if u > 2:
+        if cl == ch:
+            # Single covered point in a multi-valued bin: equality (Eq. 15).
+            return 1.0 / u
+        return (ch - cl + 1.0) / (vmax - vmin + 1.0)
+    return 0.0
 
 
 def coverage_bounds(

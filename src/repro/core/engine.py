@@ -8,14 +8,17 @@ and maps estimates and bounds back to the original domain.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core import aggregate as agg
 from repro.core import coverage as cov
 from repro.core import weighting as wt
 from repro.core.model import PairwiseHist
 from repro.gd.preprocess import ColumnInfo
-from repro.queries import Cond, Group, Node, Query, node_columns
+from repro.queries import FUNCS, OPS, Cond, Group, Node, Query, QueryError, node_columns
 
 
 @dataclass
@@ -49,14 +52,30 @@ class PHEngine:
         self.col_idx = {info.name: i for i, info in enumerate(infos)}
 
     # -- encoding ---------------------------------------------------------
+    def _column(self, name: str) -> int:
+        try:
+            return self.col_idx[name]
+        except KeyError:
+            raise QueryError(f"unknown column {name!r}") from None
+
     def _encode_node(self, node: Node) -> wt.ENode:
         if isinstance(node, Cond):
-            info = self.by_name[node.col]
-            v = info.encode_literal(node.value)
+            col = self._column(node.col)
+            if node.op not in OPS:
+                raise QueryError(f"unknown operator {node.op!r}")
+            lit = node.value
+            if isinstance(lit, (float, np.floating)) and not math.isfinite(lit):
+                raise QueryError(f"literal {lit!r} for {node.col} is not finite")
+            try:
+                v = self.infos[col].encode_literal(lit)
+            except (TypeError, ValueError) as e:
+                raise QueryError(f"bad literal {lit!r} for {node.col}: {e}") from None
+            if v is not None and not math.isfinite(v):
+                raise QueryError(f"literal {lit!r} for {node.col} is out of range")
             region = cov.EMPTY if v is None else cov.cond_region(node.op, v)
             if v is None and node.op == "!=":
                 region = cov.FULL  # unseen category: != matches everything
-            return wt.ECond(self.col_idx[node.col], region)
+            return wt.ECond(col, region)
         assert isinstance(node, Group)
         return wt.EGroup(node.kind, tuple(self._encode_node(ch) for ch in node.children))
 
@@ -87,11 +106,14 @@ class PHEngine:
     def execute(self, q: Query) -> AQPResult:
         """Answer a non-grouped query with estimate + bounds."""
         ph = self.ph
-        agg_idx = self.col_idx[q.col]
+        if q.func not in FUNCS:
+            raise QueryError(f"unknown function {q.func!r}")
+        agg_idx = self._column(q.col)
         enode = self._encode_node(q.where) if q.where is not None else None
         w = wt.weights(ph, agg_idx, enode)
         single = node_columns(q.where) <= {q.col}
-        kw = dict(rho=ph.rho, M=ph.M, alpha=ph.alpha, single_column=single)
+        centres = ph.column_state(agg_idx).centres
+        kw = dict(rho=ph.rho, M=ph.M, alpha=ph.alpha, single_column=single, centres=centres)
         est = agg.aggregate(q.func, w, ph.hists1d[agg_idx], **kw)
         count = (
             est
@@ -104,7 +126,7 @@ class PHEngine:
         """GROUP BY on a categorical column: one equality-augmented
         execution per category (Sec. 3 query form)."""
         assert q.group_by is not None
-        info = self.by_name[q.group_by]
+        info = self.infos[self._column(q.group_by)]
         assert info.kind == "cat", "GROUP BY supported on categorical columns"
         out: dict = {}
         for val in info.categories or []:

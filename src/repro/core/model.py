@@ -149,6 +149,15 @@ class Hist2D:
         return HistView(e_pred, H.sum(axis=0), meta.vmin, meta.vmax, meta.uniq)
 
 
+class ColumnState(NamedTuple):
+    """Query-time state of one column, derived from its ``Hist1D``."""
+
+    view: HistView
+    h: np.ndarray  # bin counts as float64
+    safe_h: np.ndarray  # ``h`` with empty bins set to 1, a safe divisor
+    centres: tuple[np.ndarray, np.ndarray, np.ndarray]  # midpoints, c^-, c^+ (Eq. 10)
+
+
 def map_fine_to_coarse(fine_edges: np.ndarray, coarse_edges: np.ndarray) -> np.ndarray:
     """Index of the coarse bin containing each fine bin. Valid because the
     fine edges are a superset of the coarse edges."""
@@ -168,6 +177,12 @@ class PairwiseHist:
     alpha: float
     hists1d: list[Hist1D]
     hists2d: dict[tuple[int, int], Hist2D] = field(default_factory=dict)
+    #: Query-time state derived from the histograms: a ``ColumnState`` per
+    #: column index and the weighting layer's state per ``(agg, pred)``
+    #: orientation of a pair. Built on first use, never serialized, and
+    #: dropped by ``update.append_rows``, the one function that mutates a
+    #: synopsis.
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -182,3 +197,24 @@ class PairwiseHist:
         if i == j:
             raise KeyError("use hists1d for the diagonal")
         return self.hists2d[(min(i, j), max(i, j))]
+
+    def column_state(self, i: int) -> ColumnState:
+        """Query-time state of column ``i``, built on first use."""
+        st = self.derived.get(i)
+        if st is None:
+            hist = self.hists1d[i]
+            h = hist.counts.astype(np.float64)
+            safe_h = np.where(h > 0, h, 1.0)
+            centres = (hist.midpoints, *hist.centre_bounds(self.M, self.alpha))
+            st = self.derived[i] = ColumnState(
+                hist.view(), *read_only(h, safe_h), read_only(*centres)
+            )
+        return st
+
+
+def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mark cached arrays read-only: every query shares them, so a caller
+    that wrote into one would change the answers of later queries."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays

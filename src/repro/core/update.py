@@ -66,3 +66,4 @@ def append_rows(ph: PairwiseHist, batch: pd.DataFrame, sample_ratio: float | Non
             meta.uniq[idx] = np.maximum(meta.uniq[idx], m.uniq[idx])
     ph.n_rows += n_new
     ph.n_sample += len(take)
+    ph.derived.clear()  # the query-time state was derived from the old counts

@@ -24,7 +24,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from repro.core import coverage as cov
-from repro.core.model import HistView, PairwiseHist, map_fine_to_coarse
+from repro.core.model import HistView, PairwiseHist, map_fine_to_coarse, read_only
 from repro.stats import Z_98
 
 
@@ -77,30 +77,44 @@ class _Probs(NamedTuple):
     hi: np.ndarray
 
 
+class _PairState(NamedTuple):
+    """Query-time state of a pair histogram oriented ``(agg, pred)``."""
+
+    Hf: np.ndarray  # H as float64, aggregation column on the rows
+    fmap: np.ndarray  # coarse 1-d bin of each fine aggregation bin
+    pred_view: HistView
+
+
+def _pair_state(ph: PairwiseHist, agg: int, pred: int) -> _PairState:
+    key = (agg, pred)
+    st = ph.derived.get(key)
+    if st is None:
+        pair = ph.pair(agg, pred)
+        H, e_agg, _, _, _ = pair.oriented(agg)
+        view = pair.pred_view(pred)
+        Hf, fmap, _ = read_only(
+            H.astype(np.float64), map_fine_to_coarse(e_agg, ph.hists1d[agg].edges), view.counts
+        )
+        st = ph.derived[key] = _PairState(Hf, fmap, view)
+    return st
+
+
 def _prob_from_region(
     ph: PairwiseHist, agg: int, j: int, region: cov.Region
 ) -> _Probs:
     """Pr(region on column j | bin t of agg column) per coarse agg bin."""
     M, alpha = ph.M, ph.alpha
-    h_coarse = ph.hists1d[agg].counts.astype(np.float64)
-    safe_h = np.where(h_coarse > 0, h_coarse, 1.0)
+    col = ph.column_state(agg)
     if j == agg:
-        c = cov.region_coverage(region, ph.hists1d[agg].view(), M, alpha)
+        c = cov.region_coverage(region, col.view, M, alpha)
         return _Probs(c.est, c.lo, c.hi)
-    pair = ph.pair(agg, j)
-    H, e_agg, e_pred, _, meta_pred = pair.oriented(agg)
-    pred_view = HistView(
-        e_pred, H.sum(axis=0), meta_pred.vmin, meta_pred.vmax, meta_pred.uniq
-    )
-    c = cov.region_coverage(region, pred_view, M, alpha)
-    fmap = map_fine_to_coarse(e_agg, ph.hists1d[agg].edges)
-    k = ph.hists1d[agg].k
-    Hf = H.astype(np.float64)
+    st = _pair_state(ph, agg, j)
+    c = cov.region_coverage(region, st.pred_view, M, alpha)
+    k = len(col.h)
 
     def to_probs(beta: np.ndarray) -> np.ndarray:
-        q_fine = Hf @ beta
-        q = np.bincount(fmap, weights=q_fine, minlength=k)
-        return np.clip(q / safe_h, 0.0, 1.0)
+        q = np.bincount(st.fmap, weights=st.Hf @ beta, minlength=k)
+        return np.clip(q / col.safe_h, 0.0, 1.0)
 
     return _Probs(to_probs(c.est), to_probs(c.lo), to_probs(c.hi))
 
@@ -152,7 +166,7 @@ def _combine(parts: list[_Probs], kind: str) -> _Probs:
 
 def weights(ph: PairwiseHist, agg: int, node: ENode | None) -> Weighting:
     """Final weightings vector + bounds for aggregation column ``agg``."""
-    h = ph.hists1d[agg].counts.astype(np.float64)
+    h = ph.column_state(agg).h
     if node is None:
         return Weighting(h.copy(), h.copy(), h.copy())
     p = _eval_node(ph, agg, node)

@@ -22,6 +22,11 @@ FUNCS = ("COUNT", "SUM", "AVG", "MIN", "MAX", "MEDIAN", "VAR")
 OPS = ("<", ">", "<=", ">=", "=", "!=")
 
 
+class QueryError(ValueError):
+    """A query that cannot be answered as asked: an unknown column,
+    function or operator, or a literal that is not a finite value."""
+
+
 @dataclass(frozen=True)
 class Cond:
     """One predicate condition ``col OP value`` in the original domain."""

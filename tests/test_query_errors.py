@@ -1,0 +1,78 @@
+"""Bad literals and unknown names raise ``QueryError`` before the engine
+touches the synopsis."""
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from repro.core.engine import PHEngine
+from repro.queries import Cond, Group, Query, QueryError
+
+BAD_LITERALS = [math.nan, math.inf, -math.inf, np.float64("nan")]
+
+
+def test_query_error_is_a_value_error():
+    assert issubclass(QueryError, ValueError)
+
+
+@pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+@pytest.mark.parametrize("v", BAD_LITERALS)
+def test_non_finite_range_literal(toy_engine, op, v):
+    with pytest.raises(QueryError, match="not finite"):
+        toy_engine.execute(Query("COUNT", "a", Cond("b", op, v)))
+
+
+@pytest.mark.parametrize("op", ["=", "!="])
+@pytest.mark.parametrize("v", BAD_LITERALS)
+def test_non_finite_equality_literal(toy_engine, op, v):
+    with pytest.raises(QueryError, match="not finite"):
+        toy_engine.execute(Query("SUM", "a", Cond("a", op, v)))
+
+
+def test_non_finite_literal_deep_in_a_tree(toy_engine):
+    where = Group("and", (Cond("a", "<", 500.0), Group("or", (Cond("b", "=", math.inf),))))
+    with pytest.raises(QueryError):
+        toy_engine.execute(Query("AVG", "c", where))
+
+
+def test_literal_that_overflows_the_encoding(toy_ph, toy_infos):
+    scaled = dataclasses.replace(toy_infos[0], kind="float", scale=1000.0)
+    eng = PHEngine(toy_ph, [scaled, *toy_infos[1:]])
+    with pytest.raises(QueryError, match="out of range"):
+        eng.execute(Query("COUNT", "a", Cond("a", "<", 1e306)))
+
+
+def test_literal_of_the_wrong_type(toy_engine):
+    with pytest.raises(QueryError, match="bad literal"):
+        toy_engine.execute(Query("COUNT", "a", Cond("a", "<", "not a number")))
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        Query("COUNT", "a", Cond("nope", "<", 5.0)),
+        Query("SUM", "nope", Cond("a", "<", 5.0)),
+        Query("MAX", "nope"),
+    ],
+)
+def test_unknown_column(toy_engine, q):
+    with pytest.raises(QueryError, match="unknown column 'nope'"):
+        toy_engine.execute(q)
+
+
+def test_unknown_group_by_column(toy_engine):
+    with pytest.raises(QueryError, match="unknown column 'nope'"):
+        toy_engine.execute_grouped(Query("COUNT", "a", group_by="nope"))
+
+
+def test_unknown_function_and_operator(toy_engine):
+    with pytest.raises(QueryError, match="unknown function"):
+        toy_engine.execute(Query("MODE", "a"))
+    with pytest.raises(QueryError, match="unknown operator"):
+        toy_engine.execute(Query("COUNT", "a", Cond("a", "<>", 5.0)))
+
+
+def test_valid_queries_still_answer(toy_engine):
+    r = toy_engine.execute(Query("COUNT", "a", Cond("b", "<", 500.0)))
+    assert r.est is not None and r.lo <= r.est <= r.hi
