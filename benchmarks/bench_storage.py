@@ -15,6 +15,24 @@ def test_deserialize_synopsis(benchmark, ph_built):
     assert ph2.d == ph_built.ph.d
 
 
+def test_append_rows(benchmark, ph_built, power_scaled):
+    """Fig. 2 update path: one 5k-row batch folded into a fresh copy of the
+    built synopsis per round."""
+    from repro.core.update import append_rows
+    from repro.gd.preprocess import encode_pandas
+
+    blob = serialize(ph_built.ph)
+    batch = encode_pandas(power_scaled.sample(n=5000, random_state=1), ph_built.infos)
+    grown = []
+
+    def setup():
+        grown.append(deserialize(blob))
+        return (grown[-1], batch), {}
+
+    benchmark.pedantic(append_rows, setup=setup, rounds=20, iterations=1)
+    assert grown[-1].n_rows == ph_built.ph.n_rows + len(batch)
+
+
 def test_size_ordering_vs_baselines(ph_built, deepdb_model, dbest_model, power_workload):
     """Paper ordering at matched sample sizes: PH smallest; DBEst++ grows
     with every template the workload needs."""

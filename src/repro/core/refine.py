@@ -152,24 +152,37 @@ def _group_slices(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return order, starts, sk[starts]
 
 
-def marginal_meta(values: np.ndarray, edges: np.ndarray) -> MarginalMeta:
+def marginal_meta(
+    values: np.ndarray, edges: np.ndarray, idx: np.ndarray | None = None
+) -> MarginalMeta:
     """Per-bin min / max / unique-count of ``values`` along one dimension
-    (Algorithm 1 lines 23 & 26, as length-k vectors)."""
+    (Algorithm 1 lines 23 & 26, as length-k vectors). ``idx`` is
+    ``_bin_index(values, edges)`` when the caller already has it.
+
+    One sort by (bin, value): a bin's min and max are the ends of its run,
+    and its unique count is the number of places where the bin or the
+    value changes."""
     k = len(edges) - 1
     vmin = edges[:-1].copy()
     vmax = edges[1:].copy()
     uniq = np.zeros(k, dtype=np.int64)
     if len(values) == 0:
         return MarginalMeta(vmin, vmax, uniq)
-    idx = _bin_index(values, edges)
-    order, starts, gkeys = _group_slices(idx)
+    if idx is None:
+        idx = _bin_index(values, edges)
+    order = np.lexsort((values, idx))
+    si = idx[order]
     sv = values[order]
-    bounds = np.concatenate((starts, [len(sv)]))
-    for g, t in enumerate(gkeys):
-        seg = sv[bounds[g] : bounds[g + 1]]
-        vmin[t] = seg.min()
-        vmax[t] = seg.max()
-        uniq[t] = len(np.unique(seg))
+    new_bin = np.empty(len(si), dtype=bool)
+    new_bin[0] = True
+    np.not_equal(si[1:], si[:-1], out=new_bin[1:])
+    starts = np.flatnonzero(new_bin)
+    t = si[starts]
+    vmin[t] = sv[starts]
+    vmax[t] = sv[np.append(starts[1:], len(sv)) - 1]
+    new_value = new_bin.copy()
+    new_value[1:] |= sv[1:] != sv[:-1]
+    uniq[t] = np.add.reduceat(new_value.astype(np.int64), starts)
     return MarginalMeta(vmin, vmax, uniq)
 
 

@@ -24,6 +24,20 @@ from repro.core.model import Hist1D, Hist2D, MarginalMeta, PairwiseHist
 _MAGIC = b"PWH1"
 
 
+class CorruptSynopsis(ValueError):
+    """A synopsis blob that does not decode: bad magic, truncated, or
+    with bytes after the last histogram."""
+
+
+def _unpack(fmt: str, buf: bytes, offset: int) -> tuple[tuple, int]:
+    """``struct.unpack_from`` that raises :class:`CorruptSynopsis` past
+    the end of ``buf``; returns the values and the offset after them."""
+    end = offset + struct.calcsize(fmt)
+    if end > len(buf):
+        raise CorruptSynopsis(f"truncated at byte {len(buf)}")
+    return struct.unpack_from(fmt, buf, offset), end
+
+
 # ---------------------------------------------------------------------------
 # Bit-level primitives
 
@@ -36,9 +50,9 @@ class BitWriter:
         """Append ``width`` low bits of every value (vectorized)."""
         if width == 0 or len(values) == 0:
             return
-        v = np.asarray(values, dtype=np.uint64)
-        shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)  # MSB first
-        bits = ((v[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
+        # Big-endian bytes unpack MSB first; keep the low ``width`` bits.
+        v = np.asarray(values).astype(">u8")
+        bits = np.unpackbits(v.view(np.uint8).reshape(-1, 8), axis=1)[:, 64 - width :]
         self._bits.append(bits.reshape(-1))
 
     def write_unary(self, q: int) -> None:
@@ -59,17 +73,16 @@ class BitWriter:
 
 
 class BitReader:
-    def __init__(self, data: bytes, n_bits: int | None = None):
-        arr = np.frombuffer(data, dtype=np.uint8)
-        self.bits = np.unpackbits(arr)
-        if n_bits is not None:
-            self.bits = self.bits[:n_bits]
+    def __init__(self, data: bytes):
+        self.bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
         self.pos = 0
 
     def read_bits(self, n_values: int, width: int) -> np.ndarray:
         if width == 0 or n_values == 0:
             return np.zeros(n_values, dtype=np.int64)
         need = n_values * width
+        if self.pos + need > len(self.bits):
+            raise CorruptSynopsis("bit-packed values run past the end of the data")
         chunk = self.bits[self.pos : self.pos + need].reshape(n_values, width)
         self.pos += need
         shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
@@ -91,27 +104,68 @@ def golomb_parameter(values: np.ndarray) -> int:
     return max(1, int(round(0.69 * (float(np.mean(values)) + 1.0))))
 
 
+def _rice_divisor(m: int) -> tuple[int, int]:
+    """The power-of-two divisor ``b >= m`` the codec uses for a Golomb
+    parameter ``m``, and the remainder width ``log2(b)``."""
+    width = (m - 1).bit_length() if m > 1 else 0
+    return 1 << width, width
+
+
 def golomb_encode(writer: BitWriter, values: np.ndarray, m: int) -> None:
     """Golomb–Rice-style coding: unary quotient + fixed-width remainder
     (a power-of-two divisor keeps the remainder decodable vectorially,
-    at a fraction-of-a-bit cost vs. the exact truncated code)."""
-    b = max(1, 1 << max(0, int(math.ceil(math.log2(m))))) if m > 1 else 1
-    width = int(math.log2(b)) if b > 1 else 0
-    for v in np.asarray(values, dtype=np.int64):
-        q, r = divmod(int(v), b)
-        writer.write_unary(q)
-        if width:
-            writer.write_bits(np.array([r]), width)
+    at a fraction-of-a-bit cost vs. the exact truncated code).
+
+    Each codeword is ``q`` ones, a zero, then the remainder MSB first; all
+    codewords are laid out in one bit array."""
+    b, width = _rice_divisor(m)
+    v = np.asarray(values, dtype=np.int64)
+    if len(v) == 0:
+        return
+    q, r = np.divmod(v, b)
+    ends = np.cumsum(q + 1 + width)
+    zeros = ends - width - 1  # the terminating zero of each unary run
+    bits = np.ones(int(ends[-1]), dtype=np.uint8)
+    bits[zeros] = 0
+    if width:
+        shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+        bits[zeros[:, None] + 1 + np.arange(width)] = (r[:, None] >> shifts) & 1
+    writer._bits.append(bits)
 
 
 def golomb_decode(reader: BitReader, n: int, m: int) -> np.ndarray:
-    b = max(1, 1 << max(0, int(math.ceil(math.log2(m))))) if m > 1 else 1
-    width = int(math.log2(b)) if b > 1 else 0
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        q = reader.read_unary()
-        r = int(reader.read_bits(1, width)[0]) if width else 0
-        out[i] = q * b + r
+    b, width = _rice_divisor(m)
+    bits, start = reader.bits, reader.pos
+    if width == 0:
+        # No remainder bits, so every zero ends a code.
+        z = np.flatnonzero(bits[start:] == 0)[:n] + start
+        if len(z) < n:
+            raise CorruptSynopsis("Golomb code runs past the end of the data")
+        pos = int(z[-1]) + 1 if n else start
+    else:
+        # A zero among the remainder bits ends nothing: step code by code.
+        find = bits.tobytes().find
+        pos = start
+        zeros = []
+        for _ in range(n):
+            pos = find(b"\x00", pos)
+            if pos < 0:
+                raise CorruptSynopsis("Golomb code runs past the end of the data")
+            zeros.append(pos)
+            pos += 1 + width
+        if pos > len(bits):
+            raise CorruptSynopsis("Golomb code runs past the end of the data")
+        z = np.asarray(zeros, dtype=np.int64)
+    reader.pos = pos
+    # Each codeword starts right after the previous one's remainder.
+    starts = np.empty_like(z)
+    starts[:1] = start
+    starts[1:] = z[:-1] + 1 + width
+    out = (z - starts) * b
+    if width and n:
+        shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+        rem = bits[z[:, None] + 1 + np.arange(width)].astype(np.int64)
+        out += (rem << shifts).sum(axis=1)
     return out
 
 
@@ -148,20 +202,26 @@ def _encode_counts(flat: np.ndarray) -> bytes:
 
 
 def _decode_counts(buf: bytes, offset: int, n: int) -> tuple[np.ndarray, int]:
-    use_sparse, lh, gm, n_nz = struct.unpack_from("<BBHI", buf, offset)
-    offset += struct.calcsize("<BBHI")
+    (use_sparse, lh, gm, n_nz), offset = _unpack("<BBHI", buf, offset)
     if not use_sparse:
         n_bytes = math.ceil(n * lh / 8)
         reader = BitReader(buf[offset : offset + n_bytes])
         flat = reader.read_bits(n, lh)
         return flat, offset + n_bytes
-    # sparse: size unknown a priori — read generously, track bit position.
-    reader = BitReader(buf[offset:])
+    if n_nz > n:
+        raise CorruptSynopsis(f"{n_nz} non-zero counts in {n} cells")
+    # Sparse: the gaps sum to at most n - n_nz, so the quotients to at most
+    # (n - n_nz) // b; this bounds the bits the block can span.
+    b, width = _rice_divisor(gm)
+    max_bits = n_nz * (1 + width + lh) + (n - n_nz) // b
+    reader = BitReader(buf[offset : offset + math.ceil(max_bits / 8)])
     gaps = golomb_decode(reader, n_nz, gm)
     vals = reader.read_bits(n_nz, lh)
     used_bytes = math.ceil(reader.pos / 8)
     flat = np.zeros(n, dtype=np.int64)
     idx = np.cumsum(gaps + 1) - 1
+    if n_nz and idx[-1] >= n:
+        raise CorruptSynopsis(f"non-zero count at cell {idx[-1]} of {n}")
     flat[idx] = vals
     return flat, offset + used_bytes
 
@@ -176,14 +236,17 @@ def _pack_f64(arr: np.ndarray) -> bytes:
     representable (values below 2^24 at the dyadic grid), else float64."""
     a = np.asarray(arr, dtype="<f8")
     a32 = a.astype("<f4")
-    if len(a) and np.array_equal(a32.astype("<f8"), a):
+    if len(a) and (a32 == a).all():
         return struct.pack("<IB", len(a), 4) + a32.tobytes()
     return struct.pack("<IB", len(a), 8) + a.tobytes()
 
 
 def _unpack_f64(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
-    n, width = struct.unpack_from("<IB", buf, offset)
-    offset += 5
+    (n, width), offset = _unpack("<IB", buf, offset)
+    if width not in (4, 8):
+        raise CorruptSynopsis(f"float width {width} at byte {offset - 1}")
+    if offset + width * n > len(buf):
+        raise CorruptSynopsis(f"truncated at byte {len(buf)}")
     dtype = "<f4" if width == 4 else "<f8"
     arr = np.frombuffer(buf, dtype=dtype, count=n, offset=offset).astype("<f8")
     return arr, offset + width * n
@@ -228,8 +291,7 @@ def _pack_hist2d(h: Hist2D) -> bytes:
 
 
 def _unpack_hist2d(buf: bytes, offset: int) -> tuple[Hist2D, int]:
-    i, j = struct.unpack_from("<II", buf, offset)
-    offset += 8
+    (i, j), offset = _unpack("<II", buf, offset)
     ei, offset = _unpack_f64(buf, offset)
     ej, offset = _unpack_f64(buf, offset)
     vmin_i, vmax_i, uniq_i, offset = _unpack_meta(buf, offset)
@@ -268,12 +330,12 @@ def serialize(ph: PairwiseHist) -> bytes:
 
 
 def deserialize(buf: bytes) -> PairwiseHist:
-    assert buf[:4] == _MAGIC, "bad magic"
-    offset = 4
-    n_rows, n_sample, M, alpha = struct.unpack_from("<QQId", buf, offset)
-    offset += struct.calcsize("<QQId")
-    d, n_pairs = struct.unpack_from("<II", buf, offset)
-    offset += 8
+    """Decode a :func:`serialize` blob; raises :class:`CorruptSynopsis`
+    on a bad magic, a truncated blob or trailing bytes."""
+    if buf[:4] != _MAGIC:
+        raise CorruptSynopsis("bad magic")
+    (n_rows, n_sample, M, alpha), offset = _unpack("<QQId", buf, 4)
+    (d, n_pairs), offset = _unpack("<II", buf, offset)
     hists1d = []
     for _ in range(d):
         h, offset = _unpack_hist1d(buf, offset)
@@ -282,6 +344,8 @@ def deserialize(buf: bytes) -> PairwiseHist:
     for _ in range(n_pairs):
         h, offset = _unpack_hist2d(buf, offset)
         hists2d[(h.i, h.j)] = h
+    if offset != len(buf):
+        raise CorruptSynopsis(f"{len(buf) - offset} trailing bytes")
     return PairwiseHist(n_rows, n_sample, M, alpha, hists1d, hists2d)
 
 

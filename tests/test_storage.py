@@ -1,6 +1,7 @@
 """Tests for the Sec. 4.3 storage encoding: bit packing, Golomb coding,
 dense/sparse counts and full synopsis round-trips."""
 import numpy as np
+import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from repro.core import storage
 from repro.core.storage import (
     BitReader,
     BitWriter,
+    CorruptSynopsis,
     bits_per_count,
     deserialize,
     eq12_bound,
@@ -120,7 +122,7 @@ class TestSynopsisRoundtrip:
 
     def test_bad_magic_rejected(self, toy_ph):
         blob = b"XXXX" + serialize(toy_ph)[4:]
-        with pytest.raises(AssertionError):
+        with pytest.raises(CorruptSynopsis):
             deserialize(blob)
 
     def test_size_sub_mb(self, toy_ph):
@@ -145,6 +147,37 @@ class TestSynopsisRoundtrip:
         dec, off = storage._decode_counts(enc, 0, len(flat))
         np.testing.assert_array_equal(dec, flat)
         assert off == len(enc)
+
+
+class TestCorruptSynopsis:
+    @pytest.fixture(scope="class")
+    def small_blob(self):
+        """A 2-column synopsis with a dense and a sparse count block."""
+        from repro.core.build import build_local
+
+        rng = np.random.default_rng(5)
+        x = rng.integers(0, 300, 600).astype(float)
+        pdf = pd.DataFrame({"x": x, "y": np.round(x + rng.normal(0, 3, 600))})
+        seeds = {c: np.unique(np.quantile(pdf[c], np.linspace(0, 1, 24)).round()) for c in pdf}
+        ph = build_local(pdf, seeds=seeds)
+        blocks = [h.counts.reshape(-1) for h in [*ph.hists1d, *ph.hists2d.values()]]
+        assert {storage._encode_counts(c)[0] for c in blocks} == {0, 1}
+        return serialize(ph)
+
+    def test_every_truncation_rejected(self, small_blob):
+        for cut in range(len(small_blob)):
+            with pytest.raises(CorruptSynopsis):
+                deserialize(small_blob[:cut])
+
+    def test_trailing_bytes_rejected(self, small_blob):
+        assert serialize(deserialize(small_blob)) == small_blob
+        for tail in (b"\x00", b"PWH1", bytes(100)):
+            with pytest.raises(CorruptSynopsis, match="trailing"):
+                deserialize(small_blob + tail)
+
+    def test_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            deserialize(b"")
 
 
 class TestEq12:
