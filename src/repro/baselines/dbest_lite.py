@@ -250,12 +250,10 @@ class DBEstLite:
         if q.where is None or len(cols) != 1:
             raise Unsupported("DBEst++-lite needs exactly one predicate column")
         pred_col = next(iter(cols))
-        info = self.by_name[pred_col]
 
         def region_of(nd: Node) -> cov.Region:
             if isinstance(nd, Cond):
-                v = info.encode_literal(nd.value)
-                return cov.EMPTY if v is None else cov.cond_region(nd.op, v)
+                return cov.encode_cond(nd, self.by_name)
             assert isinstance(nd, Group)
             if nd.kind == "or":
                 raise Unsupported("no OR")

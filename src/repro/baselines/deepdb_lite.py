@@ -274,9 +274,7 @@ class DeepDBLite:
 
         def visit(nd: Node):
             if isinstance(nd, Cond):
-                info = self.by_name[nd.col]
-                v = info.encode_literal(nd.value)
-                r = cov.EMPTY if v is None else cov.cond_region(nd.op, v)
+                r = cov.encode_cond(nd, self.by_name)
                 j = self.col_idx[nd.col]
                 regions[j] = cov.region_intersect(regions[j], r) if j in regions else r
                 return

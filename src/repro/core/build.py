@@ -1,41 +1,34 @@
-"""BuildPairwiseHist (Algorithm 1) — distributed construction.
+"""BuildPairwiseHist (Algorithm 1).
 
-The paper notes construction is "highly parallelisable, since each
-histogram and bin refinement can be computed independently, provided
-one-dimensional histograms are constructed first". That is exactly the
-dataflow here, expressed in the DataFrame API:
-
-1. profile + GreedyGD-encode the data (Spark DataFrame ops),
-2. draw the construction sample ``D`` of ``N_s`` rows,
-3. **1-d pass** — melt the sample to ``(col_id, value)`` with
-   ``posexplode`` and refine every column histogram in its own
-   ``groupBy("cid").applyInPandas`` task,
-4. **2-d pass** — explode every column pair to ``(pair_id, x, y)`` and
-   refine every pair histogram in its own ``groupBy("pid").applyInPandas``
-   task, seeded with the 1-d edges (closure broadcast).
-
-Refined histograms are returned as pickled payloads (one row per
-histogram) and assembled into a :class:`~repro.core.model.PairwiseHist`
-on the driver, where query execution runs (the synopsis is sub-MB).
+Spark does the work over the full table: profile and GreedyGD-encode the
+data, count it, draw the construction sample ``D`` of ``N_s`` rows and,
+on request, the full-data GD storage statistics. The sample is then
+collected once to the driver, and one pure-numpy kernel
+(:func:`build_local`) refines every column histogram (Algorithm 2) and
+then every column-pair histogram, seeded with the 1-d edges. The paper's
+"each histogram and bin refinement can be computed independently" holds
+for the kernel's loops; on the sizes here, running them serially over
+the sample beats shipping the sample to Spark tasks once per histogram
+(DESIGN.md §3).
 """
 from __future__ import annotations
 
 import math
-import pickle
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.core.model import Hist1D, Hist2D, PairwiseHist
+from repro.core.model import Hist2D, PairwiseHist
 from repro.core.refine import prepare_initial_edges, refine_1d, refine_2d
 from repro.gd import greedygd
 from repro.gd.preprocess import ColumnInfo, encode, profile
 
 DEFAULT_ALPHA = 0.001
+#: GreedyGD plans and seeds from at most this many sample rows.
+GD_SAMPLE_ROWS = 20_000
 
 
 @dataclass
@@ -55,10 +48,8 @@ def default_min_points(n_sample: int) -> int:
     return max(8, int(round(0.01 * n_sample)))
 
 
-def _assemble_1d(
-    values: np.ndarray, edges0: np.ndarray, M: int, alpha: float
-) -> Hist1D:
-    return refine_1d(values, edges0, M, alpha)
+def _max_edges(ns: int, M: int) -> int:
+    return max(2, math.ceil(ns / M))
 
 
 def build_synopsis(
@@ -71,7 +62,6 @@ def build_synopsis(
     compute_gd_stats: bool = False,
     seed: int = 0,
     infos: list[ColumnInfo] | None = None,
-    encoded: bool = False,
 ) -> BuildResult:
     """End-to-end Algorithm 1 over a Spark DataFrame.
 
@@ -86,145 +76,35 @@ def build_synopsis(
     timings["profile"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    enc = df if encoded else encode(df, infos)
+    enc = encode(df, infos)
     n_rows = enc.count()
     frac = min(1.0, 1.1 * n_sample / max(1, n_rows))
-    sample_df = enc.sample(fraction=frac, seed=seed).limit(n_sample)
-    sample_df = sample_df.cache()
-    ns = sample_df.count()
+    sample = enc.sample(fraction=frac, seed=seed).limit(n_sample).toPandas()
+    for c in sample.columns:  # Arrow may hand back Int64/object — normalise
+        sample[c] = pd.to_numeric(sample[c], errors="coerce").astype("float64")
+    ns = len(sample)
     timings["sample"] = time.perf_counter() - t0
     if M is None:
         M = default_min_points(ns)
 
-    cols = [i.name for i in infos]
-    d = len(cols)
-
     # GreedyGD: plan + initial bin edges from (sampled) bases.
     t0 = time.perf_counter()
     gd_plan = gd_stats = None
-    seeds: dict[str, np.ndarray] = {}
-    driver_sample = sample_df.limit(min(ns, 20_000)).toPandas()
-    for c in cols:  # Arrow may hand back Int64/object — normalise
-        driver_sample[c] = pd.to_numeric(driver_sample[c], errors="coerce").astype("float64")
+    seeds = None
     if use_gd_bases:
-        gd_plan = greedygd.choose_plan(driver_sample, infos)
-        max_edges = max(2, math.ceil(ns / M))
+        head = sample.iloc[:GD_SAMPLE_ROWS]
+        gd_plan = greedygd.choose_plan(head, infos)
         seeds = {
-            c: v[: 10 * max_edges]
-            for c, v in greedygd.base_edges(driver_sample, gd_plan).items()
+            c: v[: 10 * _max_edges(ns, M)]
+            for c, v in greedygd.base_edges(head, gd_plan).items()
         }
         if compute_gd_stats:
             gd_stats = greedygd.compress_stats(enc, gd_plan)
     timings["gd"] = time.perf_counter() - t0
 
-    # Per-column stats needed for initial edges.
-    mins = {
-        c: float(np.nanmin(driver_sample[c])) if driver_sample[c].notna().any() else 0.0
-        for c in cols
-    }
-    maxs = {
-        c: float(np.nanmax(driver_sample[c])) if driver_sample[c].notna().any() else 1.0
-        for c in cols
-    }
-    # Widen with full-data encoded range so sampled extrema don't truncate.
-    for info in infos:
-        mins[info.name] = min(mins[info.name], 0.0)
-        maxs[info.name] = max(maxs[info.name], float(info.encoded_max))
-    max_edges = max(2, math.ceil(ns / M))
-    initial_edges = {
-        idx: prepare_initial_edges(
-            mins[c], maxs[c], seeds.get(c) if use_gd_bases else None, max_edges
-        )
-        for idx, c in enumerate(cols)
-    }
-
-    # ---- 1-d pass -------------------------------------------------------
-    t0 = time.perf_counter()
-    melted = sample_df.select(
-        F.posexplode(F.array(*[F.col(c).cast("double") for c in cols])).alias(
-            "cid", "val"
-        )
-    ).where(F.col("val").isNotNull())
-
-    alpha_ = alpha
-    M_ = M
-
-    def refine1d_group(key, pdf):
-        cid = int(key[0])
-        hist = _assemble_1d(
-            pdf["val"].to_numpy(dtype="float64"), initial_edges[cid], M_, alpha_
-        )
-        return pd.DataFrame({"cid": [cid], "payload": [pickle.dumps(hist)]})
-
-    rows = (
-        melted.groupBy("cid")
-        .applyInPandas(refine1d_group, schema="cid long, payload binary")
-        .collect()
-    )
-    hists1d_map = {int(r["cid"]): pickle.loads(bytes(r["payload"])) for r in rows}
-    # Columns that were entirely null in the sample get a degenerate hist.
-    for idx, c in enumerate(cols):
-        if idx not in hists1d_map:
-            hists1d_map[idx] = refine_1d(
-                np.array([]), initial_edges[idx][[0, -1]], M_, alpha_
-            )
-    hists1d = [hists1d_map[i] for i in range(d)]
-    timings["hist1d"] = time.perf_counter() - t0
-
-    # ---- 2-d pass -------------------------------------------------------
-    t0 = time.perf_counter()
-    hists2d: dict[tuple[int, int], Hist2D] = {}
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    if pairs:
-        edges1d = {i: hists1d[i].edges for i in range(d)}
-        structs = [
-            F.struct(
-                F.lit(pid).alias("pid"),
-                F.col(cols[i]).cast("double").alias("x"),
-                F.col(cols[j]).cast("double").alias("y"),
-            )
-            for pid, (i, j) in enumerate(pairs)
-        ]
-        pair_melted = (
-            sample_df.select(F.explode(F.array(*structs)).alias("s"))
-            .select("s.pid", "s.x", "s.y")
-            .where(F.col("x").isNotNull() & F.col("y").isNotNull())
-        )
-
-        def refine2d_group(key, pdf):
-            pid = int(key[0])
-            i, j = pairs[pid]
-            hist = refine_2d(
-                pdf["x"].to_numpy(dtype="float64"),
-                pdf["y"].to_numpy(dtype="float64"),
-                edges1d[i],
-                edges1d[j],
-                i,
-                j,
-                M_,
-                alpha_,
-            )
-            return pd.DataFrame({"pid": [pid], "payload": [pickle.dumps(hist)]})
-
-        rows = (
-            pair_melted.groupBy("pid")
-            .applyInPandas(refine2d_group, schema="pid long, payload binary")
-            .collect()
-        )
-        got = {int(r["pid"]): pickle.loads(bytes(r["payload"])) for r in rows}
-        for pid, (i, j) in enumerate(pairs):
-            if pid in got:
-                hists2d[(i, j)] = got[pid]
-            else:  # no pairwise-complete rows in the sample
-                hists2d[(i, j)] = refine_2d(
-                    np.array([]), np.array([]), edges1d[i], edges1d[j], i, j, M_, alpha_
-                )
-    timings["hist2d"] = time.perf_counter() - t0
-
-    sample_df.unpersist()
-    ph = PairwiseHist(
-        n_rows=n_rows, n_sample=ns, M=M, alpha=alpha, hists1d=hists1d, hists2d=hists2d
-    )
+    # Widen with the full-data encoded range so sampled extrema don't truncate.
+    ranges = {info.name: (0.0, float(info.encoded_max)) for info in infos}
+    ph = _refine_all(sample, n_rows, M, alpha, seeds, ranges, timings)
     return BuildResult(ph=ph, infos=infos, gd_plan=gd_plan, gd_stats=gd_stats, timings=timings)
 
 
@@ -235,32 +115,54 @@ def build_local(
     M: int | None = None,
     alpha: float = DEFAULT_ALPHA,
     seeds: dict[str, np.ndarray] | None = None,
+    ranges: dict[str, tuple[float, float]] | None = None,
 ) -> PairwiseHist:
-    """Driver-side build over an already-encoded pandas frame — identical
-    math to :func:`build_synopsis`, used by fast unit tests and baselines
-    parity checks. ``n_rows`` is the full-population size (defaults to the
-    frame itself, i.e. ``rho = 1``)."""
-    cols = list(pdf_encoded.columns)
-    ns = len(pdf_encoded)
+    """Algorithm 1's refinement over an already-encoded sample frame (NaN
+    for nulls): the kernel :func:`build_synopsis` runs on its collected
+    sample. ``n_rows`` is the full-population size (defaults to the frame
+    itself, i.e. ``rho = 1``). ``seeds`` are per-column GreedyGD base
+    values for the initial edges; ``ranges`` are per-column ``(lo, hi)``
+    the initial edges must cover beyond the sample's own extrema."""
+    return _refine_all(pdf_encoded, n_rows, M, alpha, seeds, ranges, {})
+
+
+def _refine_all(
+    sample: pd.DataFrame,
+    n_rows: int | None,
+    M: int | None,
+    alpha: float,
+    seeds: dict[str, np.ndarray] | None,
+    ranges: dict[str, tuple[float, float]] | None,
+    timings: dict[str, float],
+) -> PairwiseHist:
+    cols = list(sample.columns)
+    ns = len(sample)
     if M is None:
         M = default_min_points(ns)
-    max_edges = max(2, math.ceil(ns / M))
+    max_edges = _max_edges(ns, M)
+    values = [sample[c].to_numpy(dtype="float64") for c in cols]
+
+    t0 = time.perf_counter()
     hists1d = []
-    for c in cols:
-        v = pdf_encoded[c].to_numpy(dtype="float64")
+    for c, v in zip(cols, values):
         vv = v[~np.isnan(v)]
         lo = float(vv.min()) if len(vv) else 0.0
         hi = float(vv.max()) if len(vv) else 1.0
+        r_lo, r_hi = (ranges or {}).get(c, (lo, hi))
+        lo, hi = min(lo, r_lo), max(hi, r_hi)
         e0 = prepare_initial_edges(lo, hi, (seeds or {}).get(c), max_edges)
         hists1d.append(refine_1d(v, e0, M, alpha))
+    timings["hist1d"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     hists2d: dict[tuple[int, int], Hist2D] = {}
     for i in range(len(cols)):
         for j in range(i + 1, len(cols)):
-            x = pdf_encoded[cols[i]].to_numpy(dtype="float64")
-            y = pdf_encoded[cols[j]].to_numpy(dtype="float64")
             hists2d[(i, j)] = refine_2d(
-                x, y, hists1d[i].edges, hists1d[j].edges, i, j, M, alpha
+                values[i], values[j], hists1d[i].edges, hists1d[j].edges, i, j, M, alpha
             )
+    timings["hist2d"] = time.perf_counter() - t0
+
     return PairwiseHist(
         n_rows=n_rows if n_rows is not None else ns,
         n_sample=ns,

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.core.hypothesis import sub_bin_count
 from repro.core.model import HistView
+from repro.queries import OPS, Cond, QueryError
 from repro.stats import chi2_critical
 
 INF = float("inf")
@@ -53,6 +54,34 @@ def cond_region(op: str, v: float) -> Region:
             return ((-INF, v - 1), (v + 1, INF))
         return FULL
     raise ValueError(f"unknown op {op!r}")
+
+
+def encode_cond(cond: Cond, infos_by_name: dict) -> Region:
+    """Region of encoded values satisfying ``cond``, whose literal is in
+    the column's original domain (Sec. 5.1). Every engine compiles its
+    conditions through here. A category never seen matches nothing under
+    ``=`` and every non-null value under ``!=``.
+
+    Raises :class:`QueryError` for an unknown column or operator, and for
+    a literal that is not finite, has the wrong type or overflows the
+    encoding."""
+    info = infos_by_name.get(cond.col)
+    if info is None:
+        raise QueryError(f"unknown column {cond.col!r}")
+    if cond.op not in OPS:
+        raise QueryError(f"unknown operator {cond.op!r}")
+    lit = cond.value
+    if isinstance(lit, (float, np.floating)) and not math.isfinite(lit):
+        raise QueryError(f"literal {lit!r} for {cond.col} is not finite")
+    try:
+        v = info.encode_literal(lit)
+    except (TypeError, ValueError) as e:
+        raise QueryError(f"bad literal {lit!r} for {cond.col}: {e}") from None
+    if v is None:
+        return FULL if cond.op == "!=" else EMPTY
+    if not math.isfinite(v):
+        raise QueryError(f"literal {lit!r} for {cond.col} is out of range")
+    return cond_region(cond.op, v)
 
 
 def region_union(r1: Region, r2: Region) -> Region:

@@ -8,17 +8,14 @@ and maps estimates and bounds back to the original domain.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.core import aggregate as agg
 from repro.core import coverage as cov
 from repro.core import weighting as wt
 from repro.core.model import PairwiseHist
 from repro.gd.preprocess import ColumnInfo
-from repro.queries import FUNCS, OPS, Cond, Group, Node, Query, QueryError, node_columns
+from repro.queries import FUNCS, Cond, Group, Node, Query, QueryError, node_columns
 
 
 @dataclass
@@ -60,22 +57,8 @@ class PHEngine:
 
     def _encode_node(self, node: Node) -> wt.ENode:
         if isinstance(node, Cond):
-            col = self._column(node.col)
-            if node.op not in OPS:
-                raise QueryError(f"unknown operator {node.op!r}")
-            lit = node.value
-            if isinstance(lit, (float, np.floating)) and not math.isfinite(lit):
-                raise QueryError(f"literal {lit!r} for {node.col} is not finite")
-            try:
-                v = self.infos[col].encode_literal(lit)
-            except (TypeError, ValueError) as e:
-                raise QueryError(f"bad literal {lit!r} for {node.col}: {e}") from None
-            if v is not None and not math.isfinite(v):
-                raise QueryError(f"literal {lit!r} for {node.col} is out of range")
-            region = cov.EMPTY if v is None else cov.cond_region(node.op, v)
-            if v is None and node.op == "!=":
-                region = cov.FULL  # unseen category: != matches everything
-            return wt.ECond(col, region)
+            region = cov.encode_cond(node, self.by_name)
+            return wt.ECond(self.col_idx[node.col], region)
         assert isinstance(node, Group)
         return wt.EGroup(node.kind, tuple(self._encode_node(ch) for ch in node.children))
 

@@ -1,8 +1,8 @@
 """Recursive bin refinement — Algorithm 2 (RefineBin1D) and its 2-d
 analogue (RefineBin2D, Fig. 5).
 
-Pure numpy: these run inside Spark ``applyInPandas`` tasks during
-construction (one histogram per task) and standalone in unit tests.
+Pure numpy: the build kernel (``build.build_local``) calls them once per
+column and once per column pair over the collected sample.
 """
 from __future__ import annotations
 

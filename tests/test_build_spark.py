@@ -1,10 +1,15 @@
 """Tests for the distributed Algorithm-1 build (Spark DataFrame path)."""
+import math
+
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.build import build_synopsis, default_min_points
+from repro.core.build import build_local, build_synopsis, default_min_points
 from repro.core.model import map_fine_to_coarse
+from repro.core.storage import serialize
+from repro.gd import greedygd
+from repro.gd.preprocess import encode_pandas
 
 
 class TestDefaultM:
@@ -111,3 +116,55 @@ class TestBuildVariants:
         sdf, _ = small_df
         res = build_synopsis(sdf, n_sample=4000)
         assert res.ph.hists1d[0].k > 4
+
+
+class TestSparkMatchesKernel:
+    """At rho = 1 on one partition the Spark build samples every row in
+    order, so it must give the kernel's synopsis over the same frame byte
+    for byte. The frame has the cases a build must not trip on: a partly
+    null column, an all-null column, a categorical column and a pair of
+    columns with no pairwise-complete row."""
+
+    N = 3000
+
+    @pytest.fixture(scope="class")
+    def frame(self):
+        rng = np.random.default_rng(11)
+        n = self.N
+        even = np.arange(n) % 2 == 0
+        return pd.DataFrame(
+            {
+                "x": rng.integers(0, 500, n).astype(float),
+                "partly_null": np.where(
+                    rng.random(n) < 0.3, np.nan, np.round(rng.normal(100, 20, n))
+                ),
+                "all_null": np.full(n, np.nan),
+                "cat": rng.choice(["red", "green", "blue", "grey"], n, p=[0.4, 0.3, 0.2, 0.1]),
+                "even_rows": np.where(even, rng.integers(0, 50, n), np.nan),
+                "odd_rows": np.where(~even, rng.integers(0, 80, n), np.nan),
+            }
+        )
+
+    @pytest.mark.parametrize("use_gd_bases", [True, False])
+    def test_serialized_bytes_equal(self, spark, frame, use_gd_bases):
+        res = build_synopsis(
+            spark.createDataFrame(frame).coalesce(1),
+            n_sample=self.N,
+            use_gd_bases=use_gd_bases,
+        )
+        ph = res.ph
+        assert ph.n_sample == ph.n_rows == self.N
+        assert ph.hists1d[2].counts.sum() == 0  # all_null
+        assert ph.hists2d[(4, 5)].counts.sum() == 0  # even_rows x odd_rows
+
+        enc = encode_pandas(frame, res.infos)
+        seeds = None
+        if use_gd_bases:
+            assert greedygd.choose_plan(enc, res.infos) == res.gd_plan
+            max_edges = max(2, math.ceil(self.N / ph.M))
+            seeds = {
+                c: v[: 10 * max_edges] for c, v in greedygd.base_edges(enc, res.gd_plan).items()
+            }
+        ranges = {i.name: (0.0, float(i.encoded_max)) for i in res.infos}
+        local = build_local(enc, seeds=seeds, ranges=ranges)
+        assert serialize(local) == serialize(ph)

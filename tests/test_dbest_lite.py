@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines.dbest_lite import DBEstLite, GMM1D, MDN, Unsupported
 from repro.gd.preprocess import ColumnInfo
-from repro.queries import Cond, Group, Query
+from repro.queries import Cond, Group, Query, QueryError
 
 
 @pytest.fixture(scope="module")
@@ -135,3 +135,34 @@ class TestTemplatesAndLimits:
     def test_no_predicate_unsupported(self, model):
         with pytest.raises(Unsupported):
             model._pred_region(Query("COUNT", "y", None))
+
+
+class TestLiteralEncoding:
+    """Conditions compile through the engine's shared ``encode_cond``."""
+
+    @pytest.fixture(scope="class")
+    def cat_model(self):
+        rng = np.random.default_rng(4)
+        n = 3000
+        cats = ["a", "b", "c"]
+        infos = [
+            ColumnInfo("x", 0, "int", maxval=99),
+            ColumnInfo("c", 1, "cat", categories=cats, cat_codes={v: i for i, v in enumerate(cats)}),
+        ]
+        enc = pd.DataFrame(
+            {"x": rng.integers(0, 100, n).astype(float), "c": rng.integers(0, 3, n).astype(float)}
+        )
+        return DBEstLite(enc, infos, n_rows=n, mdn_epochs=2, seed=0)
+
+    def test_unseen_category_not_equal_matches_every_row(self, cat_model):
+        r = cat_model.execute(Query("COUNT", "x", Cond("c", "!=", "zzz")))
+        assert r.est == pytest.approx(3000, rel=1e-9)
+
+    def test_unseen_category_equal_matches_nothing(self, cat_model):
+        r = cat_model.execute(Query("COUNT", "x", Cond("c", "=", "zzz")))
+        assert r.est == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("lit", [float("nan"), float("inf"), "not a number"])
+    def test_bad_literal_raises_query_error(self, cat_model, lit):
+        with pytest.raises(QueryError):
+            cat_model.execute(Query("COUNT", "x", Cond("x", "<", lit)))
