@@ -20,6 +20,12 @@ Q_MULTI = Query(
         ),
     ),
 )
+Q_GROUP = Query(
+    "AVG",
+    "voltage",
+    Group("and", (Cond("global_active_power", ">", 0.4), Cond("global_intensity", "<", 12.0))),
+    group_by="tariff",
+)
 
 
 @pytest.mark.parametrize("q", [Q_SIMPLE, Q_MULTI], ids=["single-pred", "multi-pred"])
@@ -27,6 +33,12 @@ def test_pairwisehist_latency(benchmark, ph_engine, q):
     r = benchmark(ph_engine.execute, q)
     assert r.est is not None
     assert benchmark.stats.stats.median < 0.01  # well under 10 ms
+
+
+def test_pairwisehist_groupby_latency(benchmark, ph_engine):
+    groups = benchmark(ph_engine.execute_grouped, Q_GROUP)
+    assert groups
+    assert benchmark.stats.stats.median < 0.01
 
 
 @pytest.mark.parametrize("q", [Q_SIMPLE, Q_MULTI], ids=["single-pred", "multi-pred"])

@@ -176,32 +176,31 @@ def coverage_bounds(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eqs. 22–23: exact for beta in {0,1}; adversarial single-point bounds
     for bins below the uniformity threshold; Theorem-2 partial-count bounds
-    for bins that passed the test."""
+    for bins that passed the test.
+
+    It runs on the few end bins of a region's intervals, so it loops over
+    Python floats: cheaper than numpy masks at that size."""
     lo = beta.copy()
     hi = beta.copy()
-    fractional = (beta > 0.0) & (beta < 1.0) & (h > 0)
-    if not fractional.any():
-        return lo, hi
-    small = fractional & (h < M)
-    if small.any():
-        lo[small] = np.minimum(beta[small], 1.0 / h[small])
-        hi[small] = np.maximum(beta[small], 1.0 - 1.0 / h[small])
-    big = fractional & (h >= M)
-    if big.any():
-        idx = np.flatnonzero(big)
-        for t in idx:
-            s = sub_bin_count(int(uniq[t]))
-            if s < 2:
-                continue
-            crit = chi2_critical(alpha, s)
-            a = math.floor(beta[t] * s)
-            b = math.ceil(beta[t] * s)
-            lo_t = 0.0
-            if a > 0:
-                lo_t = (a / s) * (1.0 - math.sqrt(crit * (s - a) / (h[t] * a)))
-            hi_t = 1.0
-            if b < s:
-                hi_t = (b / s) * (1.0 + math.sqrt(crit * (s - b) / (h[t] * b)))
-            lo[t] = min(beta[t], max(0.0, lo_t))
-            hi[t] = max(beta[t], min(1.0, hi_t))
+    for t, (b, n, u) in enumerate(zip(beta.tolist(), h.tolist(), uniq.tolist())):
+        if not (0.0 < b < 1.0 and n > 0):
+            continue
+        if n < M:
+            lo[t] = min(b, 1.0 / n)
+            hi[t] = max(b, 1.0 - 1.0 / n)
+            continue
+        s = sub_bin_count(int(u))
+        if s < 2:
+            continue
+        crit = chi2_critical(alpha, s)
+        a = math.floor(b * s)
+        c = math.ceil(b * s)
+        lo_t = 0.0
+        if a > 0:
+            lo_t = (a / s) * (1.0 - math.sqrt(crit * (s - a) / (n * a)))
+        hi_t = 1.0
+        if c < s:
+            hi_t = (c / s) * (1.0 + math.sqrt(crit * (s - c) / (n * c)))
+        lo[t] = min(b, max(0.0, lo_t))
+        hi[t] = max(b, min(1.0, hi_t))
     return lo, hi

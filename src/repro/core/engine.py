@@ -88,38 +88,46 @@ class PHEngine:
     # -- execution --------------------------------------------------------
     def execute(self, q: Query) -> AQPResult:
         """Answer a non-grouped query with estimate + bounds."""
+        return self._answers(q)[0]
+
+    def execute_grouped(self, q: Query) -> dict:
+        """GROUP BY on a categorical column: the answer to ``q`` with the
+        equality ``group_by = v`` added, for each category ``v`` (Sec. 3
+        query form), omitting categories with no estimate."""
+        if q.group_by is None:
+            raise QueryError("execute_grouped needs a GROUP BY column")
+        g = self._column(q.group_by)
+        info = self.infos[g]
+        if info.kind != "cat":
+            raise QueryError(f"GROUP BY column {q.group_by!r} is not categorical")
+        cats = info.categories or []
+        regions = [cov.encode_cond(Cond(q.group_by, "=", v), self.by_name) for v in cats]
+        results = self._answers(q, (g, regions))
+        return {v: r for v, r in zip(cats, results) if r.est is not None}
+
+    def _answers(self, q: Query, group: tuple[int, list] | None = None) -> list[AQPResult]:
+        """The answer to ``q``, or with ``group = (g, regions)`` one answer
+        per region, each to ``q`` with ``column g in region`` ANDed to its
+        WHERE clause. The WHERE tree is encoded and evaluated once."""
         ph = self.ph
         if q.func not in FUNCS:
             raise QueryError(f"unknown function {q.func!r}")
         agg_idx = self._column(q.col)
         enode = self._encode_node(q.where) if q.where is not None else None
-        w = wt.weights(ph, agg_idx, enode)
-        single = node_columns(q.where) <= {q.col}
+        cols = node_columns(q.where)
+        if group is None:
+            ws = [wt.weights(ph, agg_idx, enode)]
+        else:
+            ws = wt.grouped_weights(ph, agg_idx, enode, *group)
+            cols.add(q.group_by)
+        hist = ph.hists1d[agg_idx]
         centres = ph.column_state(agg_idx).centres
-        kw = dict(rho=ph.rho, M=ph.M, alpha=ph.alpha, single_column=single, centres=centres)
-        est = agg.aggregate(q.func, w, ph.hists1d[agg_idx], **kw)
-        count = (
-            est
-            if q.func == "COUNT"
-            else agg.aggregate("COUNT", w, ph.hists1d[agg_idx], **kw)
+        kw = dict(
+            rho=ph.rho, M=ph.M, alpha=ph.alpha, single_column=cols <= {q.col}, centres=centres
         )
-        return self._decode(q, est, count)
-
-    def execute_grouped(self, q: Query) -> dict:
-        """GROUP BY on a categorical column: one equality-augmented
-        execution per category (Sec. 3 query form)."""
-        assert q.group_by is not None
-        info = self.infos[self._column(q.group_by)]
-        assert info.kind == "cat", "GROUP BY supported on categorical columns"
-        out: dict = {}
-        for val in info.categories or []:
-            cond = Cond(q.group_by, "=", val)
-            where = (
-                cond
-                if q.where is None
-                else Group("and", (q.where, cond))
-            )
-            res = self.execute(Query(q.func, q.col, where))
-            if res.est is not None:
-                out[val] = res
+        out = []
+        for w in ws:
+            est = agg.aggregate(q.func, w, hist, **kw)
+            count = est if q.func == "COUNT" else agg.aggregate("COUNT", w, hist, **kw)
+            out.append(self._decode(q, est, count))
         return out

@@ -166,10 +166,40 @@ def _combine(parts: list[_Probs], kind: str) -> _Probs:
 
 def weights(ph: PairwiseHist, agg: int, node: ENode | None) -> Weighting:
     """Final weightings vector + bounds for aggregation column ``agg``."""
-    h = ph.column_state(agg).h
     if node is None:
+        h = ph.column_state(agg).h
         return Weighting(h.copy(), h.copy(), h.copy())
-    p = _eval_node(ph, agg, node)
+    return _weighting(ph, agg, _eval_node(ph, agg, node))
+
+
+def grouped_weights(
+    ph: PairwiseHist, agg: int, node: ENode | None, g: int, regions: list[cov.Region]
+) -> list[Weighting]:
+    """``weights(ph, agg, node AND (column g in r))`` for each ``r`` in
+    ``regions``, with ``node`` evaluated once for all of them.
+
+    The answers are exactly those of the conjunction: over a ``node`` on
+    other columns, Eq. 28 makes it the product of ``node``'s probabilities
+    and the region's, and a product of two floats is commutative. A
+    ``node`` on column ``g`` alone would be merged with the region by the
+    delayed transformation, so it is intersected with each region here.
+    """
+    if node is not None and _node_cols(node) == {g}:
+        where = _node_region(node)
+        regions = [cov.region_intersect(where, r) for r in regions]
+        node = None
+    shared = None if node is None else _eval_node(ph, agg, node)
+    out = []
+    for r in regions:
+        p = _prob_from_region(ph, agg, g, r)
+        out.append(_weighting(ph, agg, p if shared is None else _combine([shared, p], "and")))
+    return out
+
+
+def _weighting(ph: PairwiseHist, agg: int, p: _Probs) -> Weighting:
+    """Per-bin probabilities to weightings ``h ⊙ p``, widened for sampling
+    (Eq. 29) and clipped to ``[0, h]``."""
+    h = ph.column_state(agg).h
     w = h * p.est
     w_lo = h * p.lo
     w_hi = h * p.hi

@@ -1,13 +1,19 @@
 """Differential test of ``region_coverage``: it resolves each interval on
 its two end bins only, and must give exactly the answers of the direct
-all-bins evaluation of Eqs. 15–16 and 22–23 kept below as the reference."""
+all-bins evaluation of Eqs. 15–16 and 22–23 kept below as the reference.
+``coverage_bounds`` loops over Python floats, and must give exactly the
+answers of the numpy-mask version kept below as its reference."""
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import coverage as cov
+from repro.core.hypothesis import sub_bin_count
 from repro.core.model import HistView
 from repro.queries import OPS
+from repro.stats import chi2_critical
 
 
 def reference_coverage(region, view: HistView, M: int, alpha: float) -> cov.Coverage:
@@ -132,3 +138,54 @@ def test_two_interval_neq_full_and_empty():
         want = reference_coverage(region, view, M, 0.001)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+def reference_bounds(beta, h, uniq, M: int, alpha: float):
+    """Eqs. 22–23 with boolean masks over all bins."""
+    lo = beta.copy()
+    hi = beta.copy()
+    fractional = (beta > 0.0) & (beta < 1.0) & (h > 0)
+    small = fractional & (h < M)
+    lo[small] = np.minimum(beta[small], 1.0 / h[small])
+    hi[small] = np.maximum(beta[small], 1.0 - 1.0 / h[small])
+    for t in np.flatnonzero(fractional & (h >= M)):
+        s = sub_bin_count(int(uniq[t]))
+        if s < 2:
+            continue
+        crit = chi2_critical(alpha, s)
+        a = math.floor(beta[t] * s)
+        b = math.ceil(beta[t] * s)
+        lo_t = 0.0
+        if a > 0:
+            lo_t = (a / s) * (1.0 - math.sqrt(crit * (s - a) / (h[t] * a)))
+        hi_t = 1.0
+        if b < s:
+            hi_t = (b / s) * (1.0 + math.sqrt(crit * (s - b) / (h[t] * b)))
+        lo[t] = min(beta[t], max(0.0, lo_t))
+        hi[t] = max(beta[t], min(1.0, hi_t))
+    return lo, hi
+
+
+@st.composite
+def bound_inputs(draw):
+    k = draw(st.integers(1, 6))
+    beta = draw(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0, 0.5, 1 / 3]), st.floats(0.0, 1.0)),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    h = draw(st.lists(st.one_of(st.just(0), st.integers(1, 5000)), min_size=k, max_size=k))
+    uniq = draw(st.lists(st.integers(0, 600), min_size=k, max_size=k))
+    return np.array(beta), np.array(h, np.float64), np.array(uniq, np.int64)
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=bound_inputs(), M=st.integers(1, 300), alpha=st.sampled_from([0.001, 0.05]))
+def test_coverage_bounds_equal_mask_reference(case, M, alpha):
+    beta, h, uniq = case
+    got = cov.coverage_bounds(beta, h, uniq, M, alpha)
+    want = reference_bounds(beta, h, uniq, M, alpha)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()

@@ -10,7 +10,7 @@ from repro.core.engine import PHEngine
 from repro.datasets import DATASETS
 from repro.experiments.scenarios import make_workload
 from repro.ground_truth import ExactEngine
-from repro.queries import Cond, Group, Query
+from repro.queries import Cond, Group, Query, QueryError
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +127,7 @@ class TestGroupBy:
 
     def test_group_by_requires_cat(self, power):
         _, engine = power
-        with pytest.raises(AssertionError):
+        with pytest.raises(QueryError):
             engine.execute_grouped(Query("COUNT", "voltage", None, group_by="voltage"))
 
 

@@ -66,6 +66,16 @@ def test_unknown_group_by_column(toy_engine):
         toy_engine.execute_grouped(Query("COUNT", "a", group_by="nope"))
 
 
+def test_group_by_without_a_group_column(toy_engine):
+    with pytest.raises(QueryError, match="needs a GROUP BY column"):
+        toy_engine.execute_grouped(Query("COUNT", "a"))
+
+
+def test_group_by_on_a_non_categorical_column(toy_engine):
+    with pytest.raises(QueryError, match="not categorical"):
+        toy_engine.execute_grouped(Query("COUNT", "a", group_by="c"))
+
+
 def test_unknown_function_and_operator(toy_engine):
     with pytest.raises(QueryError, match="unknown function"):
         toy_engine.execute(Query("MODE", "a"))
