@@ -5,8 +5,9 @@ import pytest
 
 from repro.baselines.dbest_lite import DBEstLite
 from repro.baselines.deepdb_lite import DeepDBLite
-from repro.core.build import build_synopsis
-from repro.gd.preprocess import encode_pandas
+from repro.core.build import GD_SAMPLE_ROWS, build_synopsis
+from repro.datasets import gen_flights
+from repro.gd.preprocess import encode_pandas, profile
 
 NS = 10_000
 
@@ -52,3 +53,15 @@ def test_gd_plan_selection(benchmark, power_scaled, ph_built):
         lambda: greedygd.choose_plan(enc, ph_built.infos), rounds=3, iterations=1
     )
     assert set(plan.columns) == {i.name for i in ph_built.infos}
+
+
+def test_gd_plan_selection_wide(benchmark, spark):
+    """GreedyGD bit selection on a d = 32 table (Flights), on as many rows
+    as the build gives it."""
+    from repro.gd import greedygd
+
+    pdf = gen_flights(GD_SAMPLE_ROWS)
+    infos = profile(spark.createDataFrame(pdf))
+    enc = encode_pandas(pdf, infos)
+    plan = benchmark.pedantic(lambda: greedygd.choose_plan(enc, infos), rounds=3, iterations=1)
+    assert len(plan.columns) == 32

@@ -24,7 +24,7 @@ import pandas as pd
 
 from repro.core import coverage as cov
 from repro.gd.preprocess import ColumnInfo
-from repro.queries import Cond, Group, Node, Query, node_columns
+from repro.queries import Cond, Group, Node, Query, QueryError, node_columns
 from repro.stats import norm_cdf
 
 
@@ -277,6 +277,12 @@ class DBEstLite:
     def execute(self, q: Query):
         from repro.core.engine import AQPResult
 
+        if q.func not in self.SUPPORTED:
+            raise Unsupported(f"DBEst++-lite does not answer {q.func!r}")
+        if q.group_by is not None:
+            raise Unsupported("DBEst++-lite does not answer GROUP BY")
+        if q.col not in self.by_name:
+            raise QueryError(f"unknown column {q.col!r}")
         pred_col, region = self._pred_region(q)
         tpl = self.train_template(q.col, pred_col)
         info = self.by_name[q.col]

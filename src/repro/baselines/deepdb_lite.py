@@ -21,7 +21,7 @@ import pandas as pd
 
 from repro.core import coverage as cov
 from repro.gd.preprocess import ColumnInfo
-from repro.queries import Cond, Group, Node, Query
+from repro.queries import Cond, Group, Node, Query, QueryError
 from repro.stats import Z_99
 
 
@@ -302,6 +302,10 @@ class DeepDBLite:
 
         if q.func not in self.SUPPORTED:
             raise Unsupported(q.func)
+        if q.group_by is not None:
+            raise Unsupported("DeepDB-lite does not answer GROUP BY")
+        if q.col not in self.col_idx:
+            raise QueryError(f"unknown column {q.col!r}")
         regions = self._regions(q.where)
         agg = self.col_idx[q.col]
         # The aggregation column must be non-null (COUNT(col) semantics).

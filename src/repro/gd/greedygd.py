@@ -6,6 +6,14 @@ attribute) and a *deviation* (the remaining low bits). Bases are
 deduplicated; deviations are stored verbatim with an ID linking them to
 their base. Compression wins when few bases cover many rows.
 
+The plan search counts distinct bases exactly. A row's bases are packed
+into one int64 key, column by column; when the next column would not fit
+in 63 bits, the key so far is replaced by its dense rank, and a column too
+wide for what is left is ranked too. Both steps are injective, so the
+distinct keys are the distinct rows for any column count and widths. Each
+column's distinct count under every shift comes from one sort, because a
+right shift keeps a sorted column sorted.
+
 Simplifications vs. the paper's GreedyGD (documented in DESIGN.md):
 the greedy bit search is evaluated on the construction sample on the
 driver (full GreedyGD re-evaluates on all rows); the final base count and
@@ -28,10 +36,37 @@ def _bits_needed(maxv: int) -> int:
     return max(1, int(maxv).bit_length())
 
 
-def _n_unique_rows(arr: np.ndarray) -> int:
-    """Distinct row count of an int64 matrix via a contiguous void view."""
-    a = np.ascontiguousarray(arr)
-    return len(np.unique(a.view([("", a.dtype)] * a.shape[1])))
+def _dense_rank(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Replace ``x`` by the rank of each value among its distinct values;
+    also return the bits the ranks need."""
+    uniq, inv = np.unique(x, return_inverse=True)
+    return inv.astype(np.int64, copy=False), (len(uniq) - 1).bit_length()
+
+
+def _n_distinct_rows(bases: np.ndarray, widths: list[int]) -> int:
+    """Distinct row count of a non-negative int64 matrix whose column k
+    fits in ``widths[k]`` bits, counted on packed one-word keys. Exact while
+    two dense ranks fit in 63 bits, that is for fewer than 2**31 rows."""
+    key = np.zeros(len(bases), dtype=np.int64)
+    used = 0
+    for k, w in enumerate(widths):
+        if w == 0:
+            continue
+        col = bases[:, k]
+        if used + w > 63:
+            key, used = _dense_rank(key)
+            if used + w > 63:
+                col, w = _dense_rank(col)
+        key = (key << w) | col
+        used += w
+    return len(np.unique(key))
+
+
+def _cardinalities(v: np.ndarray, bits: int) -> np.ndarray:
+    """``out[b]`` = distinct values of ``v >> b`` for b = 0..bits (``v``
+    non-empty and non-negative)."""
+    s = np.sort(v)
+    return np.array([1 + np.count_nonzero(np.diff(s >> b)) for b in range(bits + 1)])
 
 
 @dataclass
@@ -102,23 +137,20 @@ def choose_plan(
 
     def size_for(dev_map: dict[str, int]) -> int:
         shifts = np.array([dev_map[c] for c in cols], dtype=np.int64)
-        bases = vals >> shifts
-        nb = _n_unique_rows(bases)
-        base_row = sum(total_bits[c] - dev_map[c] for c in cols)
-        dev_row = sum(dev_map.values())
-        return _size_bits(n, nb, base_row, dev_row)
+        widths = [total_bits[c] - dev_map[c] for c in cols]
+        nb = _n_distinct_rows(vals >> shifts, widths)
+        return _size_bits(n, nb, sum(widths), sum(dev_map.values()))
 
     # Phase 1 — seed: cap each column's base cardinality at K (keep only
     # the most significant bits) and pick the best K globally. This is
     # what lets the search discover that a row-unique column (timestamp,
     # id) must be fully deviated: the incremental landscape is flat until
     # such a column leaves the base entirely.
+    cards = [_cardinalities(vals[:, k], total_bits[c]) for k, c in enumerate(cols)]
+
     def dev_for_cap(col_idx: int, cap: int) -> int:
-        v = vals[:, col_idx]
-        for b in range(total_bits[cols[col_idx]] + 1):
-            if len(np.unique(v >> b)) <= cap:
-                return b
-        return total_bits[cols[col_idx]]
+        # cards[k] falls to 1 at b = total_bits, so some b always fits.
+        return int(np.argmax(cards[col_idx] <= cap))
 
     best = size_for(dev)
     for cap in (1, 2, 4, 8, 16, 32, 64, 128):

@@ -129,9 +129,9 @@ def _decimals_needed(sample: np.ndarray) -> int:
 
 
 def profile(df: DataFrame, sample_rows: int = 20_000) -> list[ColumnInfo]:
-    """Profile every column of ``df`` in two Spark jobs (one global agg +
-    one groupBy per categorical column) plus one driver sample for decimal
-    detection."""
+    """Profile every column of ``df`` with one global aggregation, one
+    ``limit`` head collected for decimal detection, and one ``groupBy``
+    per categorical column for its frequency ranks."""
     kinds = {f.name: _detect_kind(f.dataType) for f in df.schema.fields}
     aggs = []
     for c, kind in kinds.items():

@@ -166,3 +166,17 @@ class TestLiteralEncoding:
     def test_bad_literal_raises_query_error(self, cat_model, lit):
         with pytest.raises(QueryError):
             cat_model.execute(Query("COUNT", "x", Cond("x", "<", lit)))
+
+    @pytest.mark.parametrize("func", ["MIN", "MAX", "MEDIAN", "FOO"])
+    def test_unsupported_function_raises(self, cat_model, func):
+        # MIN(x) once came back as a density-weighted mean, above max(x).
+        with pytest.raises(Unsupported):
+            cat_model.execute(Query(func, "x", Cond("c", "=", "a")))
+
+    def test_group_by_raises(self, cat_model):
+        with pytest.raises(Unsupported):
+            cat_model.execute(Query("COUNT", "x", Cond("x", "<", 3), group_by="c"))
+
+    def test_unknown_aggregation_column_raises_query_error(self, cat_model):
+        with pytest.raises(QueryError):
+            cat_model.execute(Query("AVG", "nope", Cond("x", "<", 3)))

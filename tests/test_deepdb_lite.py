@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.baselines.deepdb_lite import DeepDBLite, Leaf, ProductNode, SumNode, _build_leaf
+from repro.baselines.deepdb_lite import DeepDBLite, Leaf, ProductNode, SumNode, Unsupported, _build_leaf
 from repro.gd.preprocess import ColumnInfo
 from repro.queries import Cond, Group, Query, QueryError
 
@@ -176,3 +176,16 @@ class TestLiteralEncoding:
     def test_bad_literal_raises_query_error(self, cat_model, lit):
         with pytest.raises(QueryError):
             cat_model.execute(Query("COUNT", "x", Cond("x", "<", lit)))
+
+    @pytest.mark.parametrize("func", ["MIN", "VAR", "FOO"])
+    def test_unsupported_function_raises(self, cat_model, func):
+        with pytest.raises(Unsupported):
+            cat_model.execute(Query(func, "x", Cond("c", "=", "a")))
+
+    def test_group_by_raises(self, cat_model):
+        with pytest.raises(Unsupported):
+            cat_model.execute(Query("COUNT", "x", Cond("x", "<", 3), group_by="c"))
+
+    def test_unknown_aggregation_column_raises_query_error(self, cat_model):
+        with pytest.raises(QueryError):
+            cat_model.execute(Query("AVG", "nope", Cond("x", "<", 3)))
