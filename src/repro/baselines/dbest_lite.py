@@ -22,14 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
+from repro.baselines import Unsupported, conjunction
 from repro.core import coverage as cov
 from repro.gd.preprocess import ColumnInfo
-from repro.queries import Cond, Group, Node, Query, QueryError, node_columns
+from repro.queries import Query, QueryError, node_columns
 from repro.stats import norm_cdf
-
-
-class Unsupported(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -249,21 +246,7 @@ class DBEstLite:
         cols = node_columns(q.where)
         if q.where is None or len(cols) != 1:
             raise Unsupported("DBEst++-lite needs exactly one predicate column")
-        pred_col = next(iter(cols))
-
-        def region_of(nd: Node) -> cov.Region:
-            if isinstance(nd, Cond):
-                return cov.encode_cond(nd, self.by_name)
-            assert isinstance(nd, Group)
-            if nd.kind == "or":
-                raise Unsupported("no OR")
-            rs = [region_of(c) for c in nd.children]
-            out = rs[0]
-            for r in rs[1:]:
-                out = cov.region_intersect(out, r)
-            return out
-
-        return pred_col, region_of(q.where)
+        return next(iter(conjunction(q.where, self.by_name).items()))
 
     def supports(self, q: Query) -> bool:
         if q.func not in self.SUPPORTED or q.group_by is not None:

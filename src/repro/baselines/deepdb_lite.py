@@ -19,14 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
+from repro.baselines import Unsupported, conjunction
 from repro.core import coverage as cov
 from repro.gd.preprocess import ColumnInfo
-from repro.queries import Cond, Group, Node, Query, QueryError
+from repro.queries import Node, Query, QueryError
 from repro.stats import Z_99
-
-
-class Unsupported(Exception):
-    """Raised for query shapes DeepDB(-lite) cannot answer."""
 
 
 # ---------------------------------------------------------------------------
@@ -270,23 +267,9 @@ class DeepDBLite:
     # -- query support ----------------------------------------------------
     def _regions(self, node: Node | None) -> dict[int, cov.Region]:
         """AND-only predicate tree -> per-column region intersection."""
-        regions: dict[int, cov.Region] = {}
-
-        def visit(nd: Node):
-            if isinstance(nd, Cond):
-                r = cov.encode_cond(nd, self.by_name)
-                j = self.col_idx[nd.col]
-                regions[j] = cov.region_intersect(regions[j], r) if j in regions else r
-                return
-            assert isinstance(nd, Group)
-            if nd.kind == "or":
-                raise Unsupported("DeepDB-lite does not support OR predicates")
-            for ch in nd.children:
-                visit(ch)
-
-        if node is not None:
-            visit(node)
-        return regions
+        if node is None:
+            return {}
+        return {self.col_idx[c]: r for c, r in conjunction(node, self.by_name).items()}
 
     def supports(self, q: Query) -> bool:
         if q.func not in self.SUPPORTED or q.group_by is not None:

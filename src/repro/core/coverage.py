@@ -16,13 +16,15 @@ uniformity test.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from dataclasses import dataclass
+from functools import reduce
+from typing import NamedTuple, Union
 
 import numpy as np
 
 from repro.core.hypothesis import sub_bin_count
 from repro.core.model import HistView
-from repro.queries import OPS, Cond, QueryError
+from repro.queries import OPS, Cond, Group, Node, QueryError
 from repro.stats import chi2_critical
 
 INF = float("inf")
@@ -82,6 +84,61 @@ def encode_cond(cond: Cond, infos_by_name: dict) -> Region:
     if not math.isfinite(v):
         raise QueryError(f"literal {lit!r} for {cond.col} is out of range")
     return cond_region(cond.op, v)
+
+
+@dataclass(frozen=True)
+class Leaf:
+    """Plan node: column ``col`` (its index) lies in ``region``."""
+
+    col: int
+    region: Region
+
+
+@dataclass(frozen=True)
+class Combine:
+    """Plan node: AND (``kind == "and"``) or OR over ``parts``."""
+
+    kind: str
+    parts: tuple
+
+
+Plan = Union[Leaf, Combine]
+
+
+def compile(node: Node, infos_by_name: dict) -> Plan:
+    """Compile a WHERE tree into a plan, running the delayed
+    transformation (Sec. 5.2) once, bottom-up: a subtree on one column
+    becomes one :class:`Leaf` with its exact region. In a group over
+    several columns, each column's single-column children merge, with the
+    group's kind, into one ``Leaf`` (in order of first appearance); the
+    multi-column children follow in their order. A one-part ``Combine``
+    is kept: for OR, ``1 - (1 - p)`` is not ``p`` in floats.
+
+    Raises :class:`QueryError` for a node that is not a ``Cond`` or a
+    ``Group``, a group kind other than ``and``/``or`` and an empty group,
+    besides the literal errors of :func:`encode_cond`."""
+    if isinstance(node, Cond):
+        region = encode_cond(node, infos_by_name)  # first: it names an unknown column
+        return Leaf(infos_by_name[node.col].index, region)
+    if not isinstance(node, Group):
+        raise QueryError(f"a WHERE clause is a Cond/Group tree, not {type(node).__name__}")
+    if node.kind not in ("and", "or"):
+        raise QueryError(f"unknown group kind {node.kind!r}")
+    if not node.children:
+        raise QueryError("empty condition group")
+    merge = region_intersect if node.kind == "and" else region_union
+    by_col: dict[int, list[Region]] = {}
+    others = []
+    for ch in node.children:
+        p = compile(ch, infos_by_name)
+        if isinstance(p, Leaf):
+            by_col.setdefault(p.col, []).append(p.region)
+        else:
+            others.append(p)
+    leaves = [Leaf(j, reduce(merge, rs)) for j, rs in by_col.items()]
+    if len(leaves) == 1 and not others:
+        return leaves[0]
+    return Combine(node.kind, (*leaves, *others))
 
 
 def region_union(r1: Region, r2: Region) -> Region:

@@ -15,7 +15,7 @@ from repro.core import coverage as cov
 from repro.core import weighting as wt
 from repro.core.model import PairwiseHist
 from repro.gd.preprocess import ColumnInfo
-from repro.queries import FUNCS, Cond, Group, Node, Query, QueryError, node_columns
+from repro.queries import FUNCS, Cond, Query, QueryError
 
 
 @dataclass
@@ -42,28 +42,23 @@ class PHEngine:
     """Driver-side AQP engine over a built synopsis."""
 
     def __init__(self, ph: PairwiseHist, infos: list[ColumnInfo]):
-        assert len(infos) == ph.d, "synopsis/column metadata mismatch"
+        # Plans name columns by ColumnInfo.index, the engine by position.
+        if [info.index for info in infos] != list(range(ph.d)):
+            raise ValueError(f"column infos are not the {ph.d} synopsis columns in order")
         self.ph = ph
         self.infos = infos
         self.by_name = {info.name: info for info in infos}
         self.col_idx = {info.name: i for i, info in enumerate(infos)}
 
-    # -- encoding ---------------------------------------------------------
+    # -- columns ----------------------------------------------------------
     def _column(self, name: str) -> int:
         try:
             return self.col_idx[name]
         except KeyError:
             raise QueryError(f"unknown column {name!r}") from None
 
-    def _encode_node(self, node: Node) -> wt.ENode:
-        if isinstance(node, Cond):
-            region = cov.encode_cond(node, self.by_name)
-            return wt.ECond(self.col_idx[node.col], region)
-        assert isinstance(node, Group)
-        return wt.EGroup(node.kind, tuple(self._encode_node(ch) for ch in node.children))
-
     # -- decoding ---------------------------------------------------------
-    def _decode(self, q: Query, e: agg.Estimate, count: agg.Estimate) -> AQPResult:
+    def _decode(self, q: Query, e: agg.Estimate, count: agg.Estimate | None) -> AQPResult:
         if e.est is None:
             return AQPResult(None, None, None)
         info = self.by_name[q.col]
@@ -108,26 +103,26 @@ class PHEngine:
     def _answers(self, q: Query, group: tuple[int, list] | None = None) -> list[AQPResult]:
         """The answer to ``q``, or with ``group = (g, regions)`` one answer
         per region, each to ``q`` with ``column g in region`` ANDed to its
-        WHERE clause. The WHERE tree is encoded and evaluated once."""
+        WHERE clause. The WHERE tree is compiled and evaluated once."""
         ph = self.ph
         if q.func not in FUNCS:
             raise QueryError(f"unknown function {q.func!r}")
         agg_idx = self._column(q.col)
-        enode = self._encode_node(q.where) if q.where is not None else None
-        cols = node_columns(q.where)
+        plan = cov.compile(q.where, self.by_name) if q.where is not None else None
+        # A WHERE clause on the aggregation column alone compiles to one Leaf.
+        single = plan is None or (isinstance(plan, cov.Leaf) and plan.col == agg_idx)
         if group is None:
-            ws = [wt.weights(ph, agg_idx, enode)]
+            ws = [wt.weights(ph, agg_idx, plan)]
         else:
-            ws = wt.grouped_weights(ph, agg_idx, enode, *group)
-            cols.add(q.group_by)
+            ws = wt.grouped_weights(ph, agg_idx, plan, *group)
+            single = single and group[0] == agg_idx
         hist = ph.hists1d[agg_idx]
         centres = ph.column_state(agg_idx).centres
-        kw = dict(
-            rho=ph.rho, M=ph.M, alpha=ph.alpha, single_column=cols <= {q.col}, centres=centres
-        )
+        kw = dict(rho=ph.rho, M=ph.M, alpha=ph.alpha, single_column=single, centres=centres)
         out = []
         for w in ws:
             est = agg.aggregate(q.func, w, hist, **kw)
-            count = est if q.func == "COUNT" else agg.aggregate("COUNT", w, hist, **kw)
+            # Only SUM's decoding reads COUNT (the minval offset).
+            count = agg.aggregate("COUNT", w, hist, **kw) if q.func == "SUM" else None
             out.append(self._decode(q, est, count))
         return out

@@ -1,11 +1,12 @@
 """Bin weightings — Sec. 5.3, Eqs. 24–29.
 
-A predicate tree is evaluated bottom-up into per-bin satisfaction
+A predicate plan (``coverage.compile``, which has already consolidated
+each single-column subtree into one integer region — the "delayed
+transformation") is evaluated bottom-up into per-bin satisfaction
 probability vectors at the aggregation column's 1-d resolution:
 
-* a single-column subtree is consolidated into one integer region
-  ("delayed transformation") and resolved exactly,
-* a condition on another column ``j`` goes through the pair histogram:
+* a region on the aggregation column is resolved exactly,
+* a region on another column ``j`` goes through the pair histogram:
   ``q = H^(ij) beta^(j)`` at the fine resolution, summed onto the coarse
   1-d bins and divided by the 1-d counts ``h^(i)`` (Eq. 27 — dividing by
   the 1-d counts also makes rows with NULL in ``j`` fail the predicate),
@@ -18,8 +19,7 @@ for sampling per Eq. 29 (implemented as the binomial-count standard error
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,47 +28,10 @@ from repro.core.model import HistView, PairwiseHist, map_fine_to_coarse, read_on
 from repro.stats import Z_98
 
 
-@dataclass(frozen=True)
-class ECond:
-    """Encoded condition: column index + integer region."""
-
-    col: int
-    region: cov.Region
-
-
-@dataclass(frozen=True)
-class EGroup:
-    kind: str  # 'and' | 'or'
-    children: tuple
-
-
-ENode = Union[ECond, EGroup]
-
-
 class Weighting(NamedTuple):
     est: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-
-
-def _node_cols(node: ENode) -> set[int]:
-    if isinstance(node, ECond):
-        return {node.col}
-    out: set[int] = set()
-    for ch in node.children:
-        out |= _node_cols(ch)
-    return out
-
-
-def _node_region(node: ENode) -> cov.Region:
-    """Exact region of a single-column subtree (delayed transformation)."""
-    if isinstance(node, ECond):
-        return node.region
-    regions = [_node_region(ch) for ch in node.children]
-    out = regions[0]
-    for r in regions[1:]:
-        out = cov.region_intersect(out, r) if node.kind == "and" else cov.region_union(out, r)
-    return out
 
 
 class _Probs(NamedTuple):
@@ -119,28 +82,10 @@ def _prob_from_region(
     return _Probs(to_probs(c.est), to_probs(c.lo), to_probs(c.hi))
 
 
-def _eval_node(ph: PairwiseHist, agg: int, node: ENode) -> _Probs:
-    cols = _node_cols(node)
-    if len(cols) == 1:
-        j = next(iter(cols))
-        return _prob_from_region(ph, agg, j, _node_region(node))
-    assert isinstance(node, EGroup)
-    # Consolidate runs of same-column leaf conditions before independence.
-    by_col: dict[int, list[ENode]] = {}
-    others: list[ENode] = []
-    for ch in node.children:
-        ccols = _node_cols(ch)
-        if len(ccols) == 1:
-            by_col.setdefault(next(iter(ccols)), []).append(ch)
-        else:
-            others.append(ch)
-    parts: list[_Probs] = []
-    for j, chs in by_col.items():
-        sub = chs[0] if len(chs) == 1 else EGroup(node.kind, tuple(chs))
-        parts.append(_prob_from_region(ph, agg, j, _node_region(sub)))
-    for ch in others:
-        parts.append(_eval_node(ph, agg, ch))
-    return _combine(parts, node.kind)
+def _eval_plan(ph: PairwiseHist, agg: int, plan: cov.Plan) -> _Probs:
+    if isinstance(plan, cov.Leaf):
+        return _prob_from_region(ph, agg, plan.col, plan.region)
+    return _combine([_eval_plan(ph, agg, p) for p in plan.parts], plan.kind)
 
 
 def _combine(parts: list[_Probs], kind: str) -> _Probs:
@@ -164,31 +109,30 @@ def _combine(parts: list[_Probs], kind: str) -> _Probs:
     return _Probs(1.0 - est, 1.0 - lo, 1.0 - hi)
 
 
-def weights(ph: PairwiseHist, agg: int, node: ENode | None) -> Weighting:
+def weights(ph: PairwiseHist, agg: int, plan: cov.Plan | None) -> Weighting:
     """Final weightings vector + bounds for aggregation column ``agg``."""
-    if node is None:
+    if plan is None:
         h = ph.column_state(agg).h
         return Weighting(h.copy(), h.copy(), h.copy())
-    return _weighting(ph, agg, _eval_node(ph, agg, node))
+    return _weighting(ph, agg, _eval_plan(ph, agg, plan))
 
 
 def grouped_weights(
-    ph: PairwiseHist, agg: int, node: ENode | None, g: int, regions: list[cov.Region]
+    ph: PairwiseHist, agg: int, plan: cov.Plan | None, g: int, regions: list[cov.Region]
 ) -> list[Weighting]:
-    """``weights(ph, agg, node AND (column g in r))`` for each ``r`` in
-    ``regions``, with ``node`` evaluated once for all of them.
+    """``weights(ph, agg, plan AND (column g in r))`` for each ``r`` in
+    ``regions``, with ``plan`` evaluated once for all of them.
 
-    The answers are exactly those of the conjunction: over a ``node`` on
-    other columns, Eq. 28 makes it the product of ``node``'s probabilities
+    The answers are exactly those of the conjunction: over a ``plan`` on
+    other columns, Eq. 28 makes it the product of ``plan``'s probabilities
     and the region's, and a product of two floats is commutative. A
-    ``node`` on column ``g`` alone would be merged with the region by the
+    ``plan`` on column ``g`` alone would be merged with the region by the
     delayed transformation, so it is intersected with each region here.
     """
-    if node is not None and _node_cols(node) == {g}:
-        where = _node_region(node)
-        regions = [cov.region_intersect(where, r) for r in regions]
-        node = None
-    shared = None if node is None else _eval_node(ph, agg, node)
+    if isinstance(plan, cov.Leaf) and plan.col == g:
+        regions = [cov.region_intersect(plan.region, r) for r in regions]
+        plan = None
+    shared = None if plan is None else _eval_plan(ph, agg, plan)
     out = []
     for r in regions:
         p = _prob_from_region(ph, agg, g, r)

@@ -6,6 +6,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import coverage as cov
 from repro.core.build import build_local, build_synopsis
 from repro.core.engine import PHEngine
 from repro.gd.preprocess import ColumnInfo
@@ -32,6 +33,14 @@ def toy_infos() -> list[ColumnInfo]:
         ColumnInfo("b", 1, "int", maxval=1500),
         ColumnInfo("c", 2, "int", maxval=5),
     ]
+
+
+@pytest.fixture(scope="session")
+def toy_plan(toy_infos):
+    """Compile a WHERE tree over the toy columns, whose encoding is the
+    identity, so each condition's region is ``cond_region(op, v)``."""
+    by_name = {info.name: info for info in toy_infos}
+    return lambda node: cov.compile(node, by_name)
 
 
 @pytest.fixture(scope="session")

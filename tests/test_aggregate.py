@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import weighting as wt
-from repro.core import coverage as cov
 from repro.core.aggregate import aggregate
-from repro.queries import FUNCS
+from repro.queries import FUNCS, Cond, Group
 
 _SQL = {
     "COUNT": "count({c})",
@@ -27,8 +26,8 @@ def con(toy_pdf):
     c.close()
 
 
-def _run(toy_ph, func, agg_idx, node, single=False):
-    w = wt.weights(toy_ph, agg_idx, node)
+def _run(toy_ph, func, agg_idx, plan, single=False):
+    w = wt.weights(toy_ph, agg_idx, plan)
     return aggregate(
         func,
         w,
@@ -54,26 +53,14 @@ TOL = {"COUNT": 0.10, "SUM": 0.12, "AVG": 0.08, "MEDIAN": 0.10, "VAR": 0.35}
 @pytest.mark.parametrize(
     "node,where",
     [
-        (wt.ECond(1, cov.cond_region("<", 450.0)), "b < 450"),
-        (wt.ECond(1, cov.cond_region(">=", 600.0)), "b >= 600"),
-        (
-            wt.EGroup(
-                "and",
-                (wt.ECond(1, cov.cond_region(">", 300.0)), wt.ECond(2, cov.cond_region("=", 0.0))),
-            ),
-            "b > 300 and c = 0",
-        ),
-        (
-            wt.EGroup(
-                "or",
-                (wt.ECond(1, cov.cond_region("<", 350.0)), wt.ECond(1, cov.cond_region(">", 650.0))),
-            ),
-            "b < 350 or b > 650",
-        ),
+        (Cond("b", "<", 450.0), "b < 450"),
+        (Cond("b", ">=", 600.0), "b >= 600"),
+        (Group("and", (Cond("b", ">", 300.0), Cond("c", "=", 0.0))), "b > 300 and c = 0"),
+        (Group("or", (Cond("b", "<", 350.0), Cond("b", ">", 650.0))), "b < 350 or b > 650"),
     ],
 )
-def test_estimates_close_to_truth(toy_ph, con, func, node, where):
-    est = _run(toy_ph, func, 0, node)
+def test_estimates_close_to_truth(toy_ph, con, func, node, where, toy_plan):
+    est = _run(toy_ph, func, 0, toy_plan(node))
     truth = _truth(con, func, "a", where)
     assert est.est is not None
     assert abs(est.est - truth) / max(abs(truth), 1e-9) < TOL[func], (
@@ -82,26 +69,26 @@ def test_estimates_close_to_truth(toy_ph, con, func, node, where):
 
 
 @pytest.mark.parametrize("func", list(FUNCS))
-def test_bounds_bracket_estimate(toy_ph, func):
-    node = wt.ECond(1, cov.cond_region("<", 500.0))
-    est = _run(toy_ph, func, 0, node)
+def test_bounds_bracket_estimate(toy_ph, func, toy_plan):
+    node = Cond("b", "<", 500.0)
+    est = _run(toy_ph, func, 0, toy_plan(node))
     assert est.lo is not None and est.hi is not None
     assert est.lo <= est.est + 1e-9
     assert est.hi >= est.est - 1e-9
 
 
 @pytest.mark.parametrize("func", ["COUNT", "SUM", "AVG", "MEDIAN", "VAR", "MIN", "MAX"])
-def test_bounds_contain_truth_mostly(toy_ph, con, func):
+def test_bounds_contain_truth_mostly(toy_ph, con, func, toy_plan):
     """With a full-population build the bounds should contain the exact
     answer for these well-behaved range queries."""
     hits = 0
     cases = [
-        (wt.ECond(1, cov.cond_region("<", 450.0)), "b < 450"),
-        (wt.ECond(1, cov.cond_region(">", 550.0)), "b > 550"),
-        (wt.ECond(0, cov.cond_region("<", 300.0)), "a < 300"),
+        (Cond("b", "<", 450.0), "b < 450"),
+        (Cond("b", ">", 550.0), "b > 550"),
+        (Cond("a", "<", 300.0), "a < 300"),
     ]
     for node, where in cases:
-        est = _run(toy_ph, func, 1 if "a" in where.split()[0] else 0, node)
+        est = _run(toy_ph, func, 1 if "a" in where.split()[0] else 0, toy_plan(node))
         col = "b" if where.startswith("a") else "a"
         truth = _truth(con, func, col, where)
         if est.lo - 1e-6 <= truth <= est.hi + 1e-6:
@@ -110,36 +97,36 @@ def test_bounds_contain_truth_mostly(toy_ph, con, func):
 
 
 class TestMinMax:
-    def test_min_max_on_range(self, toy_ph, con):
-        node = wt.ECond(0, cov.cond_region(">", 800.0))
-        mn = _run(toy_ph, "MIN", 1, node)
-        mx = _run(toy_ph, "MAX", 1, node)
+    def test_min_max_on_range(self, toy_ph, con, toy_plan):
+        node = Cond("a", ">", 800.0)
+        mn = _run(toy_ph, "MIN", 1, toy_plan(node))
+        mx = _run(toy_ph, "MAX", 1, toy_plan(node))
         tmn = _truth(con, "MIN", "b", "a > 800")
         tmx = _truth(con, "MAX", "b", "a > 800")
         # MIN/MAX land within the first/last candidate bin
         assert mn.lo <= tmn
         assert mx.hi >= tmx
 
-    def test_single_column_min_exact_region(self, toy_ph, con):
+    def test_single_column_min_exact_region(self, toy_ph, con, toy_plan):
         # single-column query: predicate and aggregation on column b
-        node = wt.ECond(1, cov.cond_region(">=", 700.0))
-        mn = _run(toy_ph, "MIN", 1, node, single=True)
+        node = Cond("b", ">=", 700.0)
+        mn = _run(toy_ph, "MIN", 1, toy_plan(node), single=True)
         tmn = _truth(con, "MIN", "b", "b >= 700")
         assert abs(mn.est - tmn) <= 30  # within bin resolution
 
-    def test_empty_selection_returns_none(self, toy_ph):
-        est = _run(toy_ph, "MIN", 0, wt.ECond(1, cov.EMPTY))
+    def test_empty_selection_returns_none(self, toy_ph, toy_plan):
+        est = _run(toy_ph, "MIN", 0, toy_plan(Cond("b", "=", 2.5)))  # the empty region
         assert est.est is None and est.lo is None
 
 
 class TestDegenerate:
-    def test_avg_empty_none(self, toy_ph):
-        est = _run(toy_ph, "AVG", 0, wt.ECond(2, cov.cond_region("=", 99.0)))
+    def test_avg_empty_none(self, toy_ph, toy_plan):
+        est = _run(toy_ph, "AVG", 0, toy_plan(Cond("c", "=", 99.0)))
         assert est.est is None
 
-    def test_var_nonnegative(self, toy_ph):
+    def test_var_nonnegative(self, toy_ph, toy_plan):
         for v in (300.0, 500.0, 900.0):
-            est = _run(toy_ph, "VAR", 0, wt.ECond(1, cov.cond_region("<", v)))
+            est = _run(toy_ph, "VAR", 0, toy_plan(Cond("b", "<", v)))
             if est.est is not None:
                 assert est.est >= 0.0
                 assert est.lo >= 0.0

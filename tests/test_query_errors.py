@@ -86,3 +86,32 @@ def test_unknown_function_and_operator(toy_engine):
 def test_valid_queries_still_answer(toy_engine):
     r = toy_engine.execute(Query("COUNT", "a", Cond("b", "<", 500.0)))
     assert r.est is not None and r.lo <= r.est <= r.hi
+
+
+def _bad_group(field, value):
+    """A ``Group`` that ``__post_init__`` would reject, as ``python -O``
+    (which skips its assert) lets one through."""
+    g = Group("and", (Cond("a", "<", 500.0), Cond("b", ">", 100.0)))
+    object.__setattr__(g, field, value)
+    return g
+
+
+@pytest.mark.parametrize(
+    "where, match",
+    [
+        ("a < 500", "Cond/Group tree"),
+        (_bad_group("kind", "xor"), "unknown group kind 'xor'"),
+        (_bad_group("kind", "AND"), "unknown group kind 'AND'"),
+        (_bad_group("children", ()), "empty condition group"),
+        (Group("or", (Cond("c", "=", 1.0), _bad_group("children", ()))), "empty condition group"),
+    ],
+)
+def test_malformed_where_tree(toy_engine, where, match):
+    with pytest.raises(QueryError, match=match):
+        toy_engine.execute(Query("COUNT", "a", where))
+
+
+@pytest.mark.parametrize("order", [[0, 1], [0, 1, 2, 2], [1, 0, 2]])
+def test_column_metadata_must_match_the_synopsis(toy_ph, toy_infos, order):
+    with pytest.raises(ValueError, match="not the 3 synopsis columns in order"):
+        PHEngine(toy_ph, [toy_infos[i] for i in order])

@@ -62,14 +62,16 @@ def test_sampled_update_keeps_rho():
 def test_queries_track_appended_data():
     base = _mk(6000, 0)
     ph = build_local(base)
-    from repro.core import weighting as wt
     from repro.core import coverage as cov
+    from repro.core import weighting as wt
+    from repro.gd.preprocess import ColumnInfo
+    from repro.queries import Cond
 
-    node = wt.ECond(1, cov.cond_region("<", 250.0))
-    before = wt.weights(ph, 0, node).est.sum()
+    plan = cov.compile(Cond("y", "<", 250.0), {"y": ColumnInfo("y", 1, "int", maxval=500)})
+    before = wt.weights(ph, 0, plan).est.sum()
     batch = _mk(6000, 4)
     append_rows(ph, batch)
-    after = wt.weights(ph, 0, node).est.sum()
+    after = wt.weights(ph, 0, plan).est.sum()
     truth = ((pd.concat([base, batch])["y"]) < 250).sum()
     assert after > before
     assert after == pytest.approx(truth, rel=0.1)
