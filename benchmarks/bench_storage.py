@@ -50,12 +50,12 @@ def test_gd_compression(benchmark, spark, power_scaled, ph_built):
     """GD base dedup over the full scaled dataset (Fig. 11b: total
     storage reduction)."""
     from repro.gd import greedygd
-    from repro.gd.preprocess import encode, encode_pandas
+    from repro.gd.preprocess import encode_pandas
 
-    enc_s = encode(spark.createDataFrame(power_scaled), ph_built.infos)
+    sdf = spark.createDataFrame(power_scaled)
     sample = encode_pandas(power_scaled, ph_built.infos).sample(n=5000, random_state=0)
     plan = greedygd.choose_plan(sample, ph_built.infos)
     stats = benchmark.pedantic(
-        lambda: greedygd.compress_stats(enc_s, plan), rounds=2, iterations=1
+        lambda: greedygd.compress_stats(sdf, ph_built.infos, plan), rounds=2, iterations=1
     )
     assert stats.ratio > 1.0, "GD must compress the smooth sensor data"

@@ -57,7 +57,8 @@ def spark() -> SparkSession:
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
+    (shuffle partitions, Arrow, the UTC session time zone the codec reads
+    timestamps in, broadcast threshold) are set here.
     Broadcast joins are disabled so papers about shuffle/join algorithms
     actually exercise the shuffle path at SF~=0.1; a reproduction that
     wants a broadcast join sets the threshold back for that query.
@@ -69,6 +70,7 @@ def spark() -> SparkSession:
             os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.session.timeZone", "UTC")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )

@@ -1,6 +1,6 @@
 """SparkSession for standalone jobs — mirrors conftest.py's fixture so
 ``python jobs/<name>.py`` and ``spark-submit jobs/<name>.py`` behave like
-the test session (local[*], broadcast joins disabled, Arrow on)."""
+the test session (local[*], broadcast joins disabled, Arrow on, UTC)."""
 import os
 import sys
 
@@ -24,6 +24,7 @@ def get_spark(app: str = "repro-job") -> SparkSession:
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.session.timeZone", "UTC")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )

@@ -12,9 +12,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.core.coverage import Bounded
 from repro.core.hypothesis import sub_bin_count
 from repro.core.model import Hist1D
-from repro.core.weighting import Weighting
 
 _EPS = 1e-9
 
@@ -31,7 +31,7 @@ def _none() -> Estimate:
 
 def aggregate(
     func: str,
-    w: Weighting,
+    w: Bounded,
     hist: Hist1D,
     *,
     rho: float,

@@ -1,9 +1,10 @@
 """BuildPairwiseHist (Algorithm 1).
 
-Spark does the work over the full table: profile and GreedyGD-encode the
-data, count it, draw the construction sample ``D`` of ``N_s`` rows and,
-on request, the full-data GD storage statistics. The sample is then
-collected once to the driver, and one pure-numpy kernel
+Spark does the work over the full table: profile it, count it, draw the
+construction sample ``D`` of ``N_s`` raw rows and, on request, the
+full-data GD storage statistics. The sample is collected once to the
+driver and encoded there with the GreedyGD codec (``encode_pandas``), and
+one pure-numpy kernel
 (:func:`build_local`) refines every column histogram (Algorithm 2) and
 then every column-pair histogram, seeded with the 1-d edges. The paper's
 "each histogram and bin refinement can be computed independently" holds
@@ -24,7 +25,7 @@ from pyspark.sql import DataFrame
 from repro.core.model import Hist2D, PairwiseHist
 from repro.core.refine import prepare_initial_edges, refine_1d, refine_2d
 from repro.gd import greedygd
-from repro.gd.preprocess import ColumnInfo, encode, profile
+from repro.gd.preprocess import ColumnInfo, encode_pandas, profile
 
 DEFAULT_ALPHA = 0.001
 #: GreedyGD plans and seeds from at most this many sample rows.
@@ -76,12 +77,9 @@ def build_synopsis(
     timings["profile"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    enc = encode(df, infos)
-    n_rows = enc.count()
+    n_rows = df.count()
     frac = min(1.0, 1.1 * n_sample / max(1, n_rows))
-    sample = enc.sample(fraction=frac, seed=seed).limit(n_sample).toPandas()
-    for c in sample.columns:  # Arrow may hand back Int64/object — normalise
-        sample[c] = pd.to_numeric(sample[c], errors="coerce").astype("float64")
+    sample = encode_pandas(df.sample(fraction=frac, seed=seed).limit(n_sample).toPandas(), infos)
     ns = len(sample)
     timings["sample"] = time.perf_counter() - t0
     if M is None:
@@ -99,7 +97,7 @@ def build_synopsis(
             for c, v in greedygd.base_edges(head, gd_plan).items()
         }
         if compute_gd_stats:
-            gd_stats = greedygd.compress_stats(enc, gd_plan)
+            gd_stats = greedygd.compress_stats(df, infos, gd_plan)
     timings["gd"] = time.perf_counter() - t0
 
     # Widen with the full-data encoded range so sampled extrema don't truncate.

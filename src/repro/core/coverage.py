@@ -163,15 +163,16 @@ def region_intersect(r1: Region, r2: Region) -> Region:
     return tuple(sorted(out))
 
 
-class Coverage(NamedTuple):
-    """Estimated coverage vector plus lower/upper bounds (Eqs. 14, 22–23)."""
+class Bounded(NamedTuple):
+    """A per-bin vector with its lower and upper bounds: a coverage (Eqs.
+    14, 22–23), a satisfaction probability or a weighting (Eqs. 24–29)."""
 
     est: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
 
 
-def region_coverage(region: Region, view: HistView, M: int, alpha: float) -> Coverage:
+def region_coverage(region: Region, view: HistView, M: int, alpha: float) -> Bounded:
     """Coverage of ``region`` for every bin of ``view``.
 
     The bins of a view are sorted and disjoint: an occupied bin ``t`` holds
@@ -204,7 +205,7 @@ def region_coverage(region: Region, view: HistView, M: int, alpha: float) -> Cov
         lo[idx], hi[idx] = coverage_bounds(
             beta[idx], view.counts[idx].astype(np.float64), uniq[idx], M, alpha
         )
-    return Coverage(beta, lo, hi)
+    return Bounded(beta, lo, hi)
 
 
 def _end_bin_coverage(a: float, b: float, vmin: float, vmax: float, u: int) -> float:

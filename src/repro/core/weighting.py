@@ -24,20 +24,9 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core import coverage as cov
+from repro.core.coverage import Bounded
 from repro.core.model import HistView, PairwiseHist, map_fine_to_coarse, read_only
 from repro.stats import Z_98
-
-
-class Weighting(NamedTuple):
-    est: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-
-
-class _Probs(NamedTuple):
-    est: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
 
 
 class _PairState(NamedTuple):
@@ -64,13 +53,12 @@ def _pair_state(ph: PairwiseHist, agg: int, pred: int) -> _PairState:
 
 def _prob_from_region(
     ph: PairwiseHist, agg: int, j: int, region: cov.Region
-) -> _Probs:
+) -> Bounded:
     """Pr(region on column j | bin t of agg column) per coarse agg bin."""
     M, alpha = ph.M, ph.alpha
     col = ph.column_state(agg)
     if j == agg:
-        c = cov.region_coverage(region, col.view, M, alpha)
-        return _Probs(c.est, c.lo, c.hi)
+        return cov.region_coverage(region, col.view, M, alpha)
     st = _pair_state(ph, agg, j)
     c = cov.region_coverage(region, st.pred_view, M, alpha)
     k = len(col.h)
@@ -79,16 +67,16 @@ def _prob_from_region(
         q = np.bincount(st.fmap, weights=st.Hf @ beta, minlength=k)
         return np.clip(q / col.safe_h, 0.0, 1.0)
 
-    return _Probs(to_probs(c.est), to_probs(c.lo), to_probs(c.hi))
+    return Bounded(to_probs(c.est), to_probs(c.lo), to_probs(c.hi))
 
 
-def _eval_plan(ph: PairwiseHist, agg: int, plan: cov.Plan) -> _Probs:
+def _eval_plan(ph: PairwiseHist, agg: int, plan: cov.Plan) -> Bounded:
     if isinstance(plan, cov.Leaf):
         return _prob_from_region(ph, agg, plan.col, plan.region)
     return _combine([_eval_plan(ph, agg, p) for p in plan.parts], plan.kind)
 
 
-def _combine(parts: list[_Probs], kind: str) -> _Probs:
+def _combine(parts: list[Bounded], kind: str) -> Bounded:
     if kind == "and":
         est = parts[0].est.copy()
         lo = parts[0].lo.copy()
@@ -97,7 +85,7 @@ def _combine(parts: list[_Probs], kind: str) -> _Probs:
             est *= p.est
             lo *= p.lo
             hi *= p.hi
-        return _Probs(est, lo, hi)
+        return Bounded(est, lo, hi)
     # OR: 1 - prod(1 - p); bounds are monotone in each child's bounds.
     est = 1.0 - parts[0].est
     lo = 1.0 - parts[0].lo
@@ -106,20 +94,20 @@ def _combine(parts: list[_Probs], kind: str) -> _Probs:
         est *= 1.0 - p.est
         lo *= 1.0 - p.lo
         hi *= 1.0 - p.hi
-    return _Probs(1.0 - est, 1.0 - lo, 1.0 - hi)
+    return Bounded(1.0 - est, 1.0 - lo, 1.0 - hi)
 
 
-def weights(ph: PairwiseHist, agg: int, plan: cov.Plan | None) -> Weighting:
+def weights(ph: PairwiseHist, agg: int, plan: cov.Plan | None) -> Bounded:
     """Final weightings vector + bounds for aggregation column ``agg``."""
     if plan is None:
         h = ph.column_state(agg).h
-        return Weighting(h.copy(), h.copy(), h.copy())
+        return Bounded(h.copy(), h.copy(), h.copy())
     return _weighting(ph, agg, _eval_plan(ph, agg, plan))
 
 
 def grouped_weights(
     ph: PairwiseHist, agg: int, plan: cov.Plan | None, g: int, regions: list[cov.Region]
-) -> list[Weighting]:
+) -> list[Bounded]:
     """``weights(ph, agg, plan AND (column g in r))`` for each ``r`` in
     ``regions``, with ``plan`` evaluated once for all of them.
 
@@ -140,7 +128,7 @@ def grouped_weights(
     return out
 
 
-def _weighting(ph: PairwiseHist, agg: int, p: _Probs) -> Weighting:
+def _weighting(ph: PairwiseHist, agg: int, p: Bounded) -> Bounded:
     """Per-bin probabilities to weightings ``h ⊙ p``, widened for sampling
     (Eq. 29) and clipped to ``[0, h]``."""
     h = ph.column_state(agg).h
@@ -156,4 +144,4 @@ def _weighting(ph: PairwiseHist, agg: int, p: _Probs) -> Weighting:
         w_hi = w_hi + Z_98 * se_hi
     w_lo = np.clip(w_lo, 0.0, h)
     w_hi = np.clip(w_hi, 0.0, h)
-    return Weighting(w, np.minimum(w_lo, w), np.maximum(w_hi, w))
+    return Bounded(w, np.minimum(w_lo, w), np.maximum(w_hi, w))

@@ -17,7 +17,8 @@ right shift keeps a sorted column sorted.
 Simplifications vs. the paper's GreedyGD (documented in DESIGN.md):
 the greedy bit search is evaluated on the construction sample on the
 driver (full GreedyGD re-evaluates on all rows); the final base count and
-sizes are computed over the full data with Spark.
+sizes are computed over the full data with Spark, which encodes the raw
+rows with the same driver codec (``encode_pandas``) in its Python workers.
 """
 from __future__ import annotations
 
@@ -28,8 +29,9 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
-from repro.gd.preprocess import ColumnInfo
+from repro.gd.preprocess import ColumnInfo, encode_pandas
 
 
 def _bits_needed(maxv: int) -> int:
@@ -193,18 +195,23 @@ def base_columns(df: DataFrame, plan: GDPlan) -> DataFrame:
     return df.select(*exprs)
 
 
-def compress_stats(df: DataFrame, plan: GDPlan) -> GDStats:
-    """Count deduplicated bases over the full data and report sizes.
+def compress_stats(df: DataFrame, infos: list[ColumnInfo], plan: GDPlan) -> GDStats:
+    """Count deduplicated bases over the full raw frame ``df`` and report
+    sizes. The rows are encoded with :func:`encode_pandas` inside Spark's
+    Python workers.
 
     ``raw_bytes`` is the bit-packed uncompressed size of the encoded
     integer columns (the fair baseline the GD papers compare against).
     """
+    schema = T.StructType([T.StructField(i.name, T.DoubleType()) for i in infos])
+    enc = df.mapInPandas(lambda batches: (encode_pandas(b, infos) for b in batches), schema)
+    enc = enc.select(*[F.col(i.name).cast("long") for i in infos])
     n_rows = df.count()
-    n_bases = base_columns(df, plan).distinct().count()
+    n_bases = base_columns(enc, plan).distinct().count()
     base_row_bits = sum(plan.base_bits(c) for c in plan.columns)
     dev_row_bits = sum(plan.dev_bits[c] for c in plan.columns)
     raw_row_bits = sum(plan.total_bits[c] for c in plan.columns)
-    # Original text size estimated from a small sample's CSV rendering.
+    # Original text size estimated from the CSV rendering of the raw head.
     head = df.limit(2000).toPandas()
     text_bytes = 0
     if len(head):

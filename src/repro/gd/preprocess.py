@@ -10,9 +10,14 @@ Each column is independently mapped to a non-negative integer domain:
                  nulls by building histograms over non-null values
                  (see DESIGN.md).
 
-Profiling and bulk encoding run as Spark DataFrame operations; the same
-``ColumnInfo`` objects encode query literals on the driver (Sec. 5.1) and
-decode results back to the original domain.
+Profiling runs as Spark DataFrame aggregations. Everything after it goes
+through one codec, ``ColumnInfo``: :func:`encode_pandas` encodes the build
+sample on the driver, the rows ``greedygd.compress_stats`` counts (inside
+Spark's Python workers), appended batches and the baselines' data, and the
+same objects encode query literals (Sec. 5.1) and decode results back to
+the original domain. Bulk encoding rounds half to even, and naive
+timestamps are read as UTC, so a Spark session that hands rows to it must
+run in UTC.
 """
 from __future__ import annotations
 
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
@@ -87,13 +92,14 @@ class ColumnInfo:
         return v
 
     def encode_series(self, s: pd.Series) -> pd.Series:
-        """Encode a pandas column to float64 with NaN for nulls."""
+        """Encode a pandas column to float64 with NaN for nulls. Scaled
+        values are rounded half to even; naive timestamps are read as UTC."""
         if self.kind == "cat":
             return s.map(self.cat_codes).astype("float64")
         if self.kind == "bool":
             return s.astype("float64")
         if self.kind == "datetime":
-            vals = pd.to_datetime(s).astype("int64") / 1e9
+            vals = pd.to_datetime(s).astype("datetime64[ns]").astype("int64") / 1e9
             vals = vals.where(s.notna())
             return ((vals - self.minval) * self.scale).round()
         return ((s.astype("float64") - self.minval) * self.scale).round()
@@ -203,45 +209,8 @@ def profile(df: DataFrame, sample_rows: int = 20_000) -> list[ColumnInfo]:
     return infos
 
 
-def encode(df: DataFrame, infos: list[ColumnInfo]) -> DataFrame:
-    """Encode ``df`` column-by-column with Spark expressions (nulls pass
-    through). Output columns are LONG in the same order as ``infos``."""
-    spark = df.sparkSession
-    exprs = []
-    for info in infos:
-        col = F.col(info.name)
-        if info.kind == "cat":
-            if not info.categories:  # all-null column
-                exprs.append(F.lit(None).cast("long").alias(info.name))
-                continue
-            mapping = spark.createDataFrame(
-                pd.DataFrame(
-                    {info.name: info.categories, f"__code_{info.name}": range(len(info.categories))}
-                )
-            )
-            df = df.join(F.broadcast(mapping), on=info.name, how="left")
-            exprs.append(F.col(f"__code_{info.name}").cast("long").alias(info.name))
-            continue
-        if info.kind == "datetime":
-            col = col.cast("double")
-        else:
-            col = col.cast("double")
-        exprs.append(
-            F.round((col - F.lit(info.minval)) * F.lit(info.scale)).cast("long").alias(info.name)
-        )
-    return df.select(*exprs)
-
-
 def encode_pandas(pdf: pd.DataFrame, infos: list[ColumnInfo]) -> pd.DataFrame:
-    """Driver-side equivalent of :func:`encode` — float64 with NaN nulls.
-    Used to feed the baselines the same domain PairwiseHist sees."""
+    """Encode the columns of ``infos`` to float64 with NaN for nulls, in
+    ``infos`` order: the one bulk encoder (build sample, GD statistics,
+    appended batches, baselines)."""
     return pd.DataFrame({info.name: info.encode_series(pdf[info.name]) for info in infos})
-
-
-def spark_timestamp_to_seconds(df: DataFrame) -> DataFrame:
-    """Cast timestamp columns to double epoch-seconds (used before encode
-    when a job wants a fully numeric frame)."""
-    for f in df.schema.fields:
-        if isinstance(f.dataType, (T.TimestampType, T.DateType)):
-            df = df.withColumn(f.name, F.col(f.name).cast("double"))
-    return df

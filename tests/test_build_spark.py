@@ -122,8 +122,8 @@ class TestSparkMatchesKernel:
     """At rho = 1 on one partition the Spark build samples every row in
     order, so it must give the kernel's synopsis over the same frame byte
     for byte. The frame has the cases a build must not trip on: a partly
-    null column, an all-null column, a categorical column and a pair of
-    columns with no pairwise-complete row."""
+    null column, an all-null column, a categorical column, a pair of
+    columns with no pairwise-complete row and a timestamp column."""
 
     N = 3000
 
@@ -142,6 +142,7 @@ class TestSparkMatchesKernel:
                 "cat": rng.choice(["red", "green", "blue", "grey"], n, p=[0.4, 0.3, 0.2, 0.1]),
                 "even_rows": np.where(even, rng.integers(0, 50, n), np.nan),
                 "odd_rows": np.where(~even, rng.integers(0, 80, n), np.nan),
+                "when": pd.to_datetime(1_577_836_800 + rng.integers(0, 86_400 * 30, n), unit="s"),
             }
         )
 

@@ -16,7 +16,7 @@ from repro.queries import OPS
 from repro.stats import chi2_critical
 
 
-def reference_coverage(region, view: HistView, M: int, alpha: float) -> cov.Coverage:
+def reference_coverage(region, view: HistView, M: int, alpha: float) -> cov.Bounded:
     """Every bin against every interval, with boolean masks."""
     vmin, vmax = view.vmin, view.vmax
     u = view.uniq.astype(np.float64)
@@ -44,7 +44,7 @@ def reference_coverage(region, view: HistView, M: int, alpha: float) -> cov.Cove
             beta[frac] += (ch[frac] - cl[frac] + 1.0) / (vmax[frac] - vmin[frac] + 1.0)
     beta = np.clip(beta, 0.0, 1.0)
     lo, hi = cov.coverage_bounds(beta, h, view.uniq, M, alpha)
-    return cov.Coverage(beta, lo, hi)
+    return cov.Bounded(beta, lo, hi)
 
 
 M = 12

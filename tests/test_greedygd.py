@@ -1,6 +1,8 @@
 """Tests for the GreedyGD base/deviation compressor, including a
 differential check of the packed-key plan search against the void-view
 row counter and plan search kept below as the reference."""
+import math
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.datasets import DATASETS
 from repro.gd import greedygd
-from repro.gd.preprocess import ColumnInfo, _decimals_needed, encode, encode_pandas, profile
+from repro.gd.preprocess import ColumnInfo, _decimals_needed, encode_pandas, profile
 
 
 def _infos(pdf):
@@ -64,22 +66,65 @@ class TestSplitReconstruct:
 
 class TestCompressStats:
     def test_redundant_data_compresses(self, spark, redundant_pdf):
-        infos = _infos(redundant_pdf)
         sdf = spark.createDataFrame(redundant_pdf)
-        enc = encode(sdf, profile(sdf))
-        plan = greedygd.choose_plan(redundant_pdf, infos)
-        stats = greedygd.compress_stats(enc, plan)
+        plan = greedygd.choose_plan(redundant_pdf, _infos(redundant_pdf))
+        stats = greedygd.compress_stats(sdf, profile(sdf), plan)
         assert stats.n_rows == len(redundant_pdf)
         assert stats.n_bases < stats.n_rows / 3
         assert stats.ratio > 1.0
 
     def test_base_count_at_least_distinct_patterns(self, spark, redundant_pdf):
-        infos = _infos(redundant_pdf)
         sdf = spark.createDataFrame(redundant_pdf)
-        enc = encode(sdf, profile(sdf))
-        plan = greedygd.choose_plan(redundant_pdf, infos)
-        stats = greedygd.compress_stats(enc, plan)
+        plan = greedygd.choose_plan(redundant_pdf, _infos(redundant_pdf))
+        stats = greedygd.compress_stats(sdf, profile(sdf), plan)
         assert stats.n_bases >= 16  # at least the planted pattern count
+
+    def test_matches_spark_encoded_reference(self, spark):
+        """Encoding in Spark's Python workers counts the same rows and bases
+        as the Spark expression encoder did, nulls and categories included."""
+        from tests.test_preprocess import every_kind_frame, reference_spark_encode, without_tie
+
+        pdf, schema = without_tie(every_kind_frame())
+        sdf = spark.createDataFrame(pdf, schema)
+        infos = profile(sdf)
+        plan = greedygd.choose_plan(encode_pandas(pdf.head(1000), infos), infos)
+        assert sum(plan.dev_bits.values()) > 0 and sum(map(plan.base_bits, plan.columns)) > 0
+        stats = greedygd.compress_stats(sdf, infos, plan)
+
+        enc = reference_spark_encode(sdf, infos)
+        n_rows = enc.count()
+        n_bases = greedygd.base_columns(enc, plan).distinct().count()
+        base_bits = sum(plan.base_bits(c) for c in plan.columns)
+        dev_bits = sum(plan.dev_bits.values())
+        raw_bits = sum(plan.total_bits.values())
+        assert (stats.n_rows, stats.n_bases) == (n_rows, n_bases)
+        assert n_rows == len(pdf)
+        assert 1 < n_bases < n_rows
+        assert stats.compressed_bytes == math.ceil(
+            greedygd._size_bits(n_rows, n_bases, base_bits, dev_bits) / 8
+        )
+        assert stats.raw_bytes == math.ceil(n_rows * raw_bits / 8)
+
+    def test_text_bytes_measure_the_original_rows(self, spark):
+        """``text_bytes`` scales the CSV of the raw head, not of its codes."""
+        rng = np.random.default_rng(4)
+        n = 5000
+        pdf = pd.DataFrame(
+            {
+                "station": rng.choice(["north-ridge-weather-station", "harbour-mouth"], n),
+                "reading": np.round(rng.normal(1000.0, 5.0, n), 3),
+                "count": rng.integers(0, 40, n),
+            }
+        )
+        sdf = spark.createDataFrame(pdf)
+        infos = profile(sdf)
+        plan = greedygd.choose_plan(encode_pandas(pdf, infos), infos)
+        stats = greedygd.compress_stats(sdf, infos, plan)
+        head = pdf.head(2000)
+        per_row = len(head.to_csv(index=False, header=False)) / len(head)
+        assert stats.text_bytes == int(per_row * n)
+        codes = encode_pandas(head, infos).astype("int64")
+        assert stats.text_bytes > 2 * len(codes.to_csv(index=False, header=False)) / len(head) * n
 
 
 class TestBaseEdges:
