@@ -1,10 +1,11 @@
 """BuildPairwiseHist (Algorithm 1).
 
-Spark does the work over the full table: profile it, count it, draw the
-construction sample ``D`` of ``N_s`` raw rows and, on request, the
-full-data GD storage statistics. The sample is collected once to the
-driver and encoded there with the GreedyGD codec (``encode_pandas``), and
-one pure-numpy kernel
+Spark does the work over the full table in two jobs: one scan profiles
+every column and counts the rows (``preprocess.scan``), and one draws the
+construction sample ``D`` of ``N_s`` raw rows; on request, more jobs
+compute the full-data GD storage statistics. The sample is collected once
+to the driver and encoded there with the GreedyGD codec
+(``encode_pandas``), and one pure-numpy kernel
 (:func:`build_local`) refines every column histogram (Algorithm 2) and
 then every column-pair histogram, seeded with the 1-d edges. The paper's
 "each histogram and bin refinement can be computed independently" holds
@@ -25,7 +26,7 @@ from pyspark.sql import DataFrame
 from repro.core.model import Hist2D, PairwiseHist
 from repro.core.refine import prepare_initial_edges, refine_1d, refine_2d
 from repro.gd import greedygd
-from repro.gd.preprocess import ColumnInfo, encode_pandas, profile
+from repro.gd.preprocess import ColumnInfo, encode_pandas, scan
 
 DEFAULT_ALPHA = 0.001
 #: GreedyGD plans and seeds from at most this many sample rows.
@@ -69,15 +70,17 @@ def build_synopsis(
     ``use_gd_bases=False`` builds PairwiseHist stand-alone (initial edges
     are just min/max, Sec. 3 last paragraph). ``compute_gd_stats`` runs the
     full-data base dedup count (extra Spark jobs) for storage reporting.
+    Given ``infos`` are the codec instead of the profile's; the table is
+    still scanned once, for its row count.
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
+    profiled, n_rows = scan(df)
     if infos is None:
-        infos = profile(df)
+        infos = profiled
     timings["profile"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    n_rows = df.count()
     frac = min(1.0, 1.1 * n_sample / max(1, n_rows))
     sample = encode_pandas(df.sample(fraction=frac, seed=seed).limit(n_sample).toPandas(), infos)
     ns = len(sample)

@@ -10,23 +10,27 @@ Each column is independently mapped to a non-negative integer domain:
                  nulls by building histograms over non-null values
                  (see DESIGN.md).
 
-Profiling runs as Spark DataFrame aggregations. Everything after it goes
+Profiling is one Spark pass (:func:`scan`): each partition's Arrow batches
+go through numpy in a ``mapInPandas`` worker, which yields one partial
+profile (row count, nulls, min/max, float rounding errors, category
+counts), and the driver merges the partials. Everything after it goes
 through one codec, ``ColumnInfo``: :func:`encode_pandas` encodes the build
 sample on the driver, the rows ``greedygd.compress_stats`` counts (inside
 Spark's Python workers), appended batches and the baselines' data, and the
 same objects encode query literals (Sec. 5.1) and decode results back to
-the original domain. Bulk encoding rounds half to even, and naive
-timestamps are read as UTC, so a Spark session that hands rows to it must
-run in UTC.
+the original domain. Bulk encoding rounds half to even. Timestamps are
+read as pandas sees them, naive times as UTC; the profile reads them the
+same way, so the encoded range does not depend on the session time zone.
 """
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 #: maximum decimal places checked during float→int conversion.
@@ -99,10 +103,15 @@ class ColumnInfo:
         if self.kind == "bool":
             return s.astype("float64")
         if self.kind == "datetime":
-            vals = pd.to_datetime(s).astype("datetime64[ns]").astype("int64") / 1e9
-            vals = vals.where(s.notna())
-            return ((vals - self.minval) * self.scale).round()
+            return ((_epoch_seconds(s) - self.minval) * self.scale).round()
         return ((s.astype("float64") - self.minval) * self.scale).round()
+
+
+def _epoch_seconds(s: pd.Series) -> pd.Series:
+    """Epoch seconds of a timestamp or date column, NaN for nulls; naive
+    times are read as UTC."""
+    vals = pd.to_datetime(s).astype("datetime64[ns]").astype("int64") / 1e9
+    return vals.where(s.notna())
 
 
 def _detect_kind(dtype: T.DataType) -> str:
@@ -119,65 +128,123 @@ def _detect_kind(dtype: T.DataType) -> str:
     raise TypeError(f"unsupported column type {dtype}")
 
 
-def _decimals_needed(sample: np.ndarray) -> int:
-    """Smallest k <= _MAX_DECIMALS such that sample*10^k is integral
-    (within float tolerance) — the paper's 10.22 → 1022 conversion."""
-    sample = sample[~np.isnan(sample)]
-    if len(sample) == 0:
-        return 0
+def _rounding_errors(x: np.ndarray) -> np.ndarray:
+    """``max|x·10^k − round(x·10^k)|`` for k = 0…_MAX_DECIMALS over the
+    non-NaN values ``x`` (zeros when there are none). The maximum of two
+    parts' errors is the error of their union."""
+    errors = np.zeros(_MAX_DECIMALS + 1)
+    if len(x):
+        for k in range(_MAX_DECIMALS + 1):
+            scaled = x * (10.0**k)
+            errors[k] = np.max(np.abs(scaled - np.round(scaled)))
+    return errors
+
+
+def _decimals_from(errors: np.ndarray, absmax: float) -> int:
+    """Smallest k <= _MAX_DECIMALS such that values whose rounding errors
+    are ``errors`` and whose largest magnitude is ``absmax`` are integral
+    at scale 10^k (within float tolerance) — the paper's 10.22 → 1022
+    conversion. ``max|x·10^k|`` is ``absmax·10^k`` exactly, since scaling
+    by a positive constant keeps the order of rounded products."""
     for k in range(_MAX_DECIMALS + 1):
-        scaled = sample * (10.0**k)
-        if np.max(np.abs(scaled - np.round(scaled))) < 1e-6 * np.maximum(
-            1.0, np.max(np.abs(scaled))
-        ):
+        if errors[k] < 1e-6 * max(1.0, absmax * 10.0**k):
             return k
     return _MAX_DECIMALS
 
 
-def profile(df: DataFrame, sample_rows: int = 20_000) -> list[ColumnInfo]:
-    """Profile every column of ``df`` with one global aggregation, one
-    ``limit`` head collected for decimal detection, and one ``groupBy``
-    per categorical column for its frequency ranks."""
-    kinds = {f.name: _detect_kind(f.dataType) for f in df.schema.fields}
-    aggs = []
-    for c, kind in kinds.items():
-        col = F.col(c)
-        if kind == "datetime":
-            col = col.cast("double")
-        elif kind in ("float", "int", "bool"):
-            col = col.cast("double")
-        if kind != "cat":
-            aggs.append(F.min(col).alias(f"min__{c}"))
-            aggs.append(F.max(col).alias(f"max__{c}"))
-        aggs.append(F.sum(F.col(c).isNull().cast("long")).alias(f"nulls__{c}"))
-    stats = df.agg(*aggs).collect()[0].asDict()
+def _decimals_needed(sample: np.ndarray) -> int:
+    """:func:`_decimals_from` over the non-NaN values of ``sample``."""
+    sample = sample[~np.isnan(sample)]
+    absmax = float(np.max(np.abs(sample))) if len(sample) else 0.0
+    return _decimals_from(_rounding_errors(sample), absmax)
 
-    float_cols = [c for c, k in kinds.items() if k == "float"]
-    sample_pdf = (
-        df.select(*[F.col(c).cast("double").alias(c) for c in float_cols])
-        .limit(sample_rows)
-        .toPandas()
-        if float_cols
-        else pd.DataFrame()
-    )
+
+def _partial_schema(kinds: list[str]) -> T.StructType:
+    """The fixed schema of one partition's partial profile: its row count,
+    and per column ``j`` its nulls, then the min and max of non-category
+    columns (epoch seconds for timestamps), the rounding errors of float
+    columns and the value counts of category columns."""
+    fields = [T.StructField("rows", T.LongType())]
+    for j, kind in enumerate(kinds):
+        fields.append(T.StructField(f"nulls_{j}", T.LongType()))
+        if kind == "cat":
+            fields.append(T.StructField(f"values_{j}", T.ArrayType(T.StringType())))
+            fields.append(T.StructField(f"counts_{j}", T.ArrayType(T.LongType())))
+        elif kind != "bool":
+            fields.append(T.StructField(f"min_{j}", T.DoubleType()))
+            fields.append(T.StructField(f"max_{j}", T.DoubleType()))
+            if kind == "float":
+                fields.append(T.StructField(f"errors_{j}", T.ArrayType(T.DoubleType())))
+    return T.StructType(fields)
+
+
+def _profile_partition(
+    batches: Iterator[pd.DataFrame], kinds: list[str]
+) -> Iterator[pd.DataFrame]:
+    """Stream one partition's batches through numpy and yield its partial
+    profile, one row of :func:`_partial_schema`. Runs in Spark's Python
+    workers; values are read as the codec reads them."""
+    rows = 0
+    nulls = [0] * len(kinds)
+    lo = [np.inf] * len(kinds)
+    hi = [-np.inf] * len(kinds)
+    errors = {j: np.zeros(_MAX_DECIMALS + 1) for j, k in enumerate(kinds) if k == "float"}
+    counts: dict[int, list[pd.Series]] = {j: [] for j, k in enumerate(kinds) if k == "cat"}
+    for pdf in batches:
+        rows += len(pdf)
+        for j, kind in enumerate(kinds):
+            s = pdf.iloc[:, j]
+            nulls[j] += int(s.isna().sum())
+            if kind == "cat":
+                counts[j].append(s.value_counts())
+            elif kind != "bool":
+                x = (_epoch_seconds(s) if kind == "datetime" else s.astype("float64")).to_numpy()
+                x = x[~np.isnan(x)]
+                if len(x):
+                    lo[j] = min(lo[j], float(x.min()))
+                    hi[j] = max(hi[j], float(x.max()))
+                if kind == "float":
+                    errors[j] = np.maximum(errors[j], _rounding_errors(x))
+    out: dict[str, list] = {"rows": [rows]}
+    for j, kind in enumerate(kinds):
+        out[f"nulls_{j}"] = [nulls[j]]
+        if kind == "cat":
+            vc = pd.concat(counts[j] or [pd.Series(dtype="int64")]).groupby(level=0).sum()
+            out[f"values_{j}"] = [vc.index.tolist()]
+            out[f"counts_{j}"] = [vc.to_numpy(dtype="int64").tolist()]
+        elif kind != "bool":
+            # An empty partition's +-inf bounds go out as nulls.
+            out[f"min_{j}"] = [lo[j] if lo[j] <= hi[j] else None]
+            out[f"max_{j}"] = [hi[j] if lo[j] <= hi[j] else None]
+            if kind == "float":
+                out[f"errors_{j}"] = [errors[j].tolist()]
+    yield pd.DataFrame(out)
+
+
+def scan(df: DataFrame) -> tuple[list[ColumnInfo], int]:
+    """Profile every column of ``df`` and count its rows in one Spark
+    pass: one ``mapInPandas`` job yields a partial profile per partition
+    (:func:`_profile_partition`) and the driver merges them. Categories
+    are ranked by descending count, then ascending value."""
+    names = [f.name for f in df.schema.fields]
+    kinds = [_detect_kind(f.dataType) for f in df.schema.fields]
+    partials = df.mapInPandas(
+        lambda batches: _profile_partition(batches, kinds), _partial_schema(kinds)
+    ).collect()
+    n_rows = sum(p["rows"] for p in partials)
 
     infos: list[ColumnInfo] = []
-    for idx, (c, kind) in enumerate(kinds.items()):
-        nulls = int(stats[f"nulls__{c}"] or 0)
+    for j, (c, kind) in enumerate(zip(names, kinds)):
+        nulls = sum(p[f"nulls_{j}"] for p in partials)
         if kind == "cat":
-            freq = (
-                df.groupBy(c)
-                .count()
-                .where(F.col(c).isNotNull())
-                .orderBy(F.desc("count"), F.asc(c))
-                .limit(_MAX_CATEGORIES)
-                .collect()
-            )
-            cats = [r[0] for r in freq]
+            freq = Counter()
+            for p in partials:
+                freq.update(dict(zip(p[f"values_{j}"], p[f"counts_{j}"])))
+            cats = sorted(freq, key=lambda v: (-freq[v], v))[:_MAX_CATEGORIES]
             infos.append(
                 ColumnInfo(
                     name=c,
-                    index=idx,
+                    index=j,
                     kind=kind,
                     categories=cats,
                     cat_codes={v: i for i, v in enumerate(cats)},
@@ -185,20 +252,23 @@ def profile(df: DataFrame, sample_rows: int = 20_000) -> list[ColumnInfo]:
                 )
             )
             continue
-        minval = stats[f"min__{c}"]
-        minval = float(minval) if minval is not None else 0.0
-        maxval = stats[f"max__{c}"]
-        maxval = float(maxval) if maxval is not None else 0.0
-        scale = 1.0
-        if kind == "float" and c in sample_pdf.columns:
-            scale = 10.0 ** _decimals_needed(sample_pdf[c].to_numpy(dtype="float64"))
+        minval, maxval, scale = 0.0, 0.0, 1.0
         if kind == "bool":
-            minval = 0.0
             maxval = 1.0
+        else:
+            mins = [p[f"min_{j}"] for p in partials if p[f"min_{j}"] is not None]
+            maxs = [p[f"max_{j}"] for p in partials if p[f"max_{j}"] is not None]
+            minval, maxval = min(mins, default=0.0), max(maxs, default=0.0)
+        if kind == "float":
+            err = np.zeros(_MAX_DECIMALS + 1)
+            for p in partials:
+                # Arrow hands a NaN error (from an infinite value) back as None.
+                err = np.maximum(err, np.array(p[f"errors_{j}"], dtype="float64"))
+            scale = 10.0 ** _decimals_from(err, max(abs(minval), abs(maxval)))
         infos.append(
             ColumnInfo(
                 name=c,
-                index=idx,
+                index=j,
                 kind=kind,
                 scale=scale,
                 minval=minval,
@@ -206,7 +276,13 @@ def profile(df: DataFrame, sample_rows: int = 20_000) -> list[ColumnInfo]:
                 null_count=nulls,
             )
         )
-    return infos
+    return infos, n_rows
+
+
+def profile(df: DataFrame) -> list[ColumnInfo]:
+    """The codec of every column of ``df``: :func:`scan` without the row
+    count."""
+    return scan(df)[0]
 
 
 def encode_pandas(pdf: pd.DataFrame, infos: list[ColumnInfo]) -> pd.DataFrame:

@@ -1,19 +1,108 @@
-"""Tests for GreedyGD pre-processing: Spark profiling and the one codec,
-``ColumnInfo``, in bulk (``encode_pandas``) and for literals. The Spark
-expression encoder the build used before is kept below as the reference
-for differential tests."""
+"""Tests for GreedyGD pre-processing: the one-pass Spark profile and the
+one codec, ``ColumnInfo``, in bulk (``encode_pandas``) and for literals.
+The Spark profiler (one aggregate, a decimal head and a ``groupBy`` per
+category) and the Spark expression encoder the build used before are kept
+below as references for differential tests."""
+import datetime as dt
 from functools import reduce
 
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro import idebench
 from repro.core.build import _max_edges, build_local, build_synopsis, default_min_points
 from repro.core.storage import serialize
+from repro.datasets import DATASETS
 from repro.gd import greedygd
-from repro.gd.preprocess import ColumnInfo, encode_pandas, profile
+from repro.gd.preprocess import (
+    _MAX_CATEGORIES,
+    ColumnInfo,
+    _decimals_needed,
+    _detect_kind,
+    encode_pandas,
+    profile,
+    scan,
+)
+
+
+def reference_spark_profile(df: DataFrame, sample_rows: int = 20_000) -> list[ColumnInfo]:
+    """Profile every column of ``df`` with one global aggregation, one
+    ``limit`` head collected for decimal detection, and one ``groupBy``
+    per categorical column for its frequency ranks."""
+    kinds = {f.name: _detect_kind(f.dataType) for f in df.schema.fields}
+    aggs = []
+    for c, kind in kinds.items():
+        col = F.col(c)
+        if kind == "datetime":
+            col = col.cast("double")
+        elif kind in ("float", "int", "bool"):
+            col = col.cast("double")
+        if kind != "cat":
+            aggs.append(F.min(col).alias(f"min__{c}"))
+            aggs.append(F.max(col).alias(f"max__{c}"))
+        aggs.append(F.sum(F.col(c).isNull().cast("long")).alias(f"nulls__{c}"))
+    stats = df.agg(*aggs).collect()[0].asDict()
+
+    float_cols = [c for c, k in kinds.items() if k == "float"]
+    sample_pdf = (
+        df.select(*[F.col(c).cast("double").alias(c) for c in float_cols])
+        .limit(sample_rows)
+        .toPandas()
+        if float_cols
+        else pd.DataFrame()
+    )
+
+    infos: list[ColumnInfo] = []
+    for idx, (c, kind) in enumerate(kinds.items()):
+        nulls = int(stats[f"nulls__{c}"] or 0)
+        if kind == "cat":
+            freq = (
+                df.groupBy(c)
+                .count()
+                .where(F.col(c).isNotNull())
+                .orderBy(F.desc("count"), F.asc(c))
+                .limit(_MAX_CATEGORIES)
+                .collect()
+            )
+            cats = [r[0] for r in freq]
+            infos.append(
+                ColumnInfo(
+                    name=c,
+                    index=idx,
+                    kind=kind,
+                    categories=cats,
+                    cat_codes={v: i for i, v in enumerate(cats)},
+                    null_count=nulls,
+                )
+            )
+            continue
+        minval = stats[f"min__{c}"]
+        minval = float(minval) if minval is not None else 0.0
+        maxval = stats[f"max__{c}"]
+        maxval = float(maxval) if maxval is not None else 0.0
+        scale = 1.0
+        if kind == "float" and c in sample_pdf.columns:
+            scale = 10.0 ** _decimals_needed(sample_pdf[c].to_numpy(dtype="float64"))
+        if kind == "bool":
+            minval = 0.0
+            maxval = 1.0
+        infos.append(
+            ColumnInfo(
+                name=c,
+                index=idx,
+                kind=kind,
+                scale=scale,
+                minval=minval,
+                maxval=maxval,
+                null_count=nulls,
+            )
+        )
+    return infos
 
 
 def reference_spark_encode(df: DataFrame, infos: list[ColumnInfo]) -> DataFrame:
@@ -290,3 +379,150 @@ class TestLiteralCodec:
         s = by["i"].encode_series(mixed_pdf["i"].head(10))
         for raw, enc in zip(mixed_pdf["i"].head(10), s):
             assert enc == pytest.approx(by["i"].encode_literal(raw))
+
+
+#: ``hypothesis_frame`` column order; float ``f`` has 0–7 decimals per row,
+#: or is infinite.
+HYPOTHESIS_SCHEMA = (
+    "f double, i long, flag boolean, cat string, t timestamp, none_f double, none_cat string"
+)
+#: Few, close values: tied counts, and an order that tells case, the empty
+#: string and a non-ASCII code point apart.
+CATEGORY_VALUES = ["a", "b", "B", "", "é", "zz"]
+
+
+@st.composite
+def hypothesis_frame(draw) -> tuple[list[tuple], int]:
+    """Rows of ``HYPOTHESIS_SCHEMA`` and a partition count; with fewer
+    rows than partitions some partitions are empty."""
+    n_parts = draw(st.integers(1, 8))
+    row = st.tuples(
+        st.one_of(
+            st.none(),
+            st.builds(
+                lambda m, d: m / 10**d, st.integers(-(10**9), 10**9), st.integers(0, 7)
+            ),
+            st.sampled_from([np.inf, -np.inf]),
+        ),
+        st.one_of(st.none(), st.integers(-(2**40), 2**40)),
+        st.one_of(st.none(), st.booleans()),
+        st.one_of(st.none(), st.sampled_from(CATEGORY_VALUES)),
+        st.one_of(
+            st.none(),
+            st.integers(0, 10**9).map(
+                lambda s: dt.datetime(2000, 1, 1) + dt.timedelta(seconds=s)
+            ),
+        ),
+        st.none(),
+        st.none(),
+    )
+    return draw(st.lists(row, max_size=40)), n_parts
+
+
+class TestScanMatchesReference:
+    """The one-pass scan gives the reference profiler's ``ColumnInfo``s
+    whenever the reference's decimal head holds the whole table."""
+
+    def test_every_kind_frame(self, spark, every_kind_pdf):
+        sdf = four_partitions(spark, every_kind_pdf, EVERY_KIND_SCHEMA)
+        assert profile(sdf) == reference_spark_profile(sdf)
+
+    def test_mixed_frame(self, spark, mixed_pdf):
+        sdf = spark.createDataFrame(mixed_pdf)
+        infos, n_rows = scan(sdf)
+        assert infos == reference_spark_profile(sdf)
+        assert n_rows == len(mixed_pdf)
+
+    def test_power_at_benchmark_size(self, spark):
+        """Power as the benchmark builds it: 150k rows, four partitions.
+        Its decimals all show in the reference's 20k-row head."""
+        pdf = idebench.generate_pandas(
+            idebench.fit(DATASETS["power"].generate()), 150_000, seed=0
+        )
+        schema = ", ".join(
+            f"{c} {'long' if c == 'ts' else 'string' if c == 'tariff' else 'double'}"
+            for c in pdf.columns
+        )
+        sdf = four_partitions(spark, pdf, schema)
+        infos, n_rows = scan(sdf)
+        assert infos == reference_spark_profile(sdf)
+        assert n_rows == len(pdf)
+
+    @settings(max_examples=15, deadline=None)
+    @given(hypothesis_frame())
+    @example(([], 1))
+    @example(([], 3))
+    @example(([(1.25, 3, True, "b", dt.datetime(2001, 1, 1), None, None)], 8))
+    def test_random_frames(self, spark, frame):
+        rows, n_parts = frame
+        # Cached, so that the profilers' jobs do not each re-read the rows
+        # through a Python worker.
+        sdf = spark.createDataFrame(
+            spark.sparkContext.parallelize(rows, n_parts), HYPOTHESIS_SCHEMA
+        ).cache()
+        try:
+            infos, n_rows = scan(sdf)
+            assert infos == reference_spark_profile(sdf)
+        finally:
+            sdf.unpersist()
+        assert n_rows == len(rows)
+
+    def test_decimals_after_the_head(self, spark):
+        """The one documented difference. A float column whose third
+        decimal first shows after row 20,000 gets scale 10^2 from the
+        reference's head, which then rounds that value away when it is
+        encoded; the scan reads the whole column and gives 10^3."""
+        rng = np.random.default_rng(11)
+        x = np.round(rng.normal(10.0, 2.0, 25_000), 2)
+        x[22_000] = 10.237
+        sdf = spark.createDataFrame(pd.DataFrame({"x": x})).coalesce(1)
+        (ref,), (new,) = reference_spark_profile(sdf), profile(sdf)
+        assert (ref.scale, new.scale) == (100.0, 1000.0)
+        assert (ref.minval, ref.maxval, ref.null_count) == (new.minval, new.maxval, 0)
+
+        value = pd.Series([10.237])
+        rounded = ref.decode_value(ref.encode_series(value)[0])
+        assert rounded == pytest.approx(10.24) and rounded != pytest.approx(10.237)
+        assert new.decode_value(new.encode_series(value)[0]) == pytest.approx(10.237, abs=1e-9)
+
+
+class TestDatesAndTimeZones:
+    def test_date_column(self, spark):
+        """A date column is a ``datetime`` column in epoch seconds of its
+        midnights; it profiles and builds."""
+        days = [dt.date(2021, 3, 1) + dt.timedelta(days=int(k)) for k in range(0, 300, 3)]
+        rows = [(d if k % 7 else None, k / 4) for k, d in enumerate(days)]
+        sdf = spark.createDataFrame(rows, "d date, x double")
+        d, x = profile(sdf)
+        midnight = dt.datetime(2021, 3, 1, tzinfo=dt.timezone.utc).timestamp()
+        assert d == ColumnInfo(
+            "d", 0, "datetime", minval=midnight + 86_400 * 3,
+            maxval=midnight + 86_400 * 297, null_count=15,
+        )
+        assert x.scale == 100.0
+
+        res = build_synopsis(sdf, n_sample=len(rows))
+        assert res.ph.n_rows == len(rows)
+        assert res.ph.hists1d[0].counts.sum() == len(rows) - 15
+        assert res.infos[0] == d
+
+    def test_timestamps_in_a_session_time_zone(self, spark, every_kind_pdf):
+        """Outside UTC the sample and the profile read timestamps in the
+        same wall-clock view, so every encoded sample value lies in
+        ``[0, encoded_max]``."""
+        sdf = four_partitions(spark, every_kind_pdf, EVERY_KIND_SCHEMA)
+        n_sample, seed = 1500, 2
+        spark.conf.set("spark.sql.session.timeZone", "America/New_York")
+        try:
+            res = build_synopsis(sdf, n_sample=n_sample, seed=seed)
+            frac = min(1.0, 1.1 * n_sample / len(every_kind_pdf))
+            raw = sdf.sample(fraction=frac, seed=seed).limit(n_sample).toPandas()
+        finally:
+            spark.conf.set("spark.sql.session.timeZone", "UTC")
+        sample = encode_pandas(raw, res.infos)
+        assert len(sample) == res.ph.n_sample
+        for info, h in zip(res.infos, res.ph.hists1d):
+            col = sample[info.name].dropna()
+            assert ((col >= 0) & (col <= info.encoded_max)).all(), info.name
+            assert h.edges[0] == 0.0, info.name
+        assert res.infos[5].kind == "datetime" and sample["t"].notna().any()
