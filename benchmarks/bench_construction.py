@@ -12,10 +12,10 @@ from repro.gd.preprocess import encode_pandas, profile
 NS = 10_000
 
 
-def test_pairwisehist_build(benchmark, spark, power_scaled, ph_built):
+def test_pairwisehist_build(benchmark, spark, power_scaled):
     sdf = spark.createDataFrame(power_scaled)
     res = benchmark.pedantic(
-        lambda: build_synopsis(sdf, n_sample=NS, infos=ph_built.infos, seed=5),
+        lambda: build_synopsis(sdf, n_sample=NS, seed=5),
         rounds=3,
         iterations=1,
     )

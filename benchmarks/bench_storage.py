@@ -56,6 +56,8 @@ def test_gd_compression(benchmark, spark, power_scaled, ph_built):
     sample = encode_pandas(power_scaled, ph_built.infos).sample(n=5000, random_state=0)
     plan = greedygd.choose_plan(sample, ph_built.infos)
     stats = benchmark.pedantic(
-        lambda: greedygd.compress_stats(sdf, ph_built.infos, plan), rounds=2, iterations=1
+        lambda: greedygd.compress_stats(sdf, ph_built.infos, plan, ph_built.ph.n_rows),
+        rounds=2,
+        iterations=1,
     )
     assert stats.ratio > 1.0, "GD must compress the smooth sensor data"

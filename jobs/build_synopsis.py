@@ -10,6 +10,7 @@ from _session import get_spark
 from repro.core.build import build_synopsis
 from repro.core.storage import eq12_bound, serialize
 from repro.experiments.scenarios import original_dataset
+from repro.gd.greedygd import compress_stats
 
 
 def main() -> None:
@@ -22,7 +23,8 @@ def main() -> None:
     spark = get_spark("build-synopsis")
     pdf = original_dataset(args.dataset, args.rows)
     sdf = spark.createDataFrame(pdf)
-    res = build_synopsis(sdf, n_sample=args.ns, compute_gd_stats=True)
+    res = build_synopsis(sdf, n_sample=args.ns)
+    st = compress_stats(sdf, res.infos, res.gd_plan, res.ph.n_rows)
     blob = serialize(res.ph)
     with open(args.out, "wb") as f:
         f.write(blob)
@@ -30,9 +32,7 @@ def main() -> None:
           f"M={res.ph.M} alpha={res.ph.alpha}")
     print(f"1-d bins: {[h.k for h in res.ph.hists1d]}")
     print(f"synopsis: {len(blob)/1024:.1f} KB (Eq.12 bound {eq12_bound(res.ph)/1024:.1f} KB) -> {args.out}")
-    if res.gd_stats:
-        print(f"GD: {res.gd_stats.n_bases} bases / {res.gd_stats.n_rows} rows, "
-              f"ratio {res.gd_stats.ratio:.2f}x")
+    print(f"GD: {st.n_bases} bases / {st.n_rows} rows, ratio {st.ratio:.2f}x")
     print(f"timings: { {k: round(v, 2) for k, v in res.timings.items()} }")
     spark.stop()
 

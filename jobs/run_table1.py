@@ -9,11 +9,10 @@ import time
 
 from _session import get_spark
 
-from repro.core.build import build_synopsis
 from repro.core.storage import synopsis_bytes
-from repro.experiments.harness import compute_truths
 from repro.experiments.scenarios import compare_engines, make_workload, scaled_dataset
 from repro.experiments.tables import table1_row
+from repro.gd.greedygd import compress_stats
 from repro.ground_truth import ExactEngine
 
 
@@ -34,10 +33,8 @@ def main() -> None:
     print(table1_row(reports))
 
     # GD total-storage reduction (Fig. 11b: paper 3.2-4.3x)
-    sdf = spark.createDataFrame(pdf)
-    res = build_synopsis(sdf, n_sample=args.ns, compute_gd_stats=True, infos=built.infos)
-    st = res.gd_stats
-    syn = synopsis_bytes(res.ph)
+    st = compress_stats(spark.createDataFrame(pdf), built.infos, built.gd_plan, built.ph.n_rows)
+    syn = synopsis_bytes(built.ph)
     print(
         f"GD storage: text~{st.text_bytes/1e6:.1f} MB  raw-binary={st.raw_bytes/1e6:.1f} MB  "
         f"compressed={st.compressed_bytes/1e6:.1f} MB (+ synopsis {syn/1e3:.0f} KB)  "

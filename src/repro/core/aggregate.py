@@ -38,15 +38,11 @@ def aggregate(
     M: int,
     alpha: float,
     single_column: bool = False,
-    centres: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    centres: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> Estimate:
     """``centres`` is the column's ``(midpoints, c^-, c^+)`` (Eq. 10), as
-    cached in ``PairwiseHist.column_state``; it is computed from ``hist``
-    when not given."""
-    fn = _DISPATCH[func]
-    if centres is None:
-        centres = (hist.midpoints, *hist.centre_bounds(M, alpha))
-    return fn(w, hist, rho, M, alpha, single_column, centres)
+    cached in ``PairwiseHist.column_state``."""
+    return _DISPATCH[func](w, hist, rho, M, alpha, single_column, centres)
 
 
 def _count(w, hist, rho, M, alpha, single_column, centres) -> Estimate:

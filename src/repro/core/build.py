@@ -2,8 +2,7 @@
 
 Spark does the work over the full table in two jobs: one scan profiles
 every column and counts the rows (``preprocess.scan``), and one draws the
-construction sample ``D`` of ``N_s`` raw rows; on request, more jobs
-compute the full-data GD storage statistics. The sample is collected once
+construction sample ``D`` of ``N_s`` raw rows. The sample is collected once
 to the driver and encoded there with the GreedyGD codec
 (``encode_pandas``), and one pure-numpy kernel
 (:func:`build_local`) refines every column histogram (Algorithm 2) and
@@ -40,7 +39,6 @@ class BuildResult:
     ph: PairwiseHist
     infos: list[ColumnInfo]
     gd_plan: greedygd.GDPlan | None = None
-    gd_stats: greedygd.GDStats | None = None
     timings: dict = field(default_factory=dict)
 
 
@@ -61,23 +59,16 @@ def build_synopsis(
     M: int | None = None,
     alpha: float = DEFAULT_ALPHA,
     use_gd_bases: bool = True,
-    compute_gd_stats: bool = False,
     seed: int = 0,
-    infos: list[ColumnInfo] | None = None,
 ) -> BuildResult:
     """End-to-end Algorithm 1 over a Spark DataFrame.
 
     ``use_gd_bases=False`` builds PairwiseHist stand-alone (initial edges
-    are just min/max, Sec. 3 last paragraph). ``compute_gd_stats`` runs the
-    full-data base dedup count (extra Spark jobs) for storage reporting.
-    Given ``infos`` are the codec instead of the profile's; the table is
-    still scanned once, for its row count.
+    are just min/max, Sec. 3 last paragraph).
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    profiled, n_rows = scan(df)
-    if infos is None:
-        infos = profiled
+    infos, n_rows = scan(df)
     timings["profile"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -90,7 +81,7 @@ def build_synopsis(
 
     # GreedyGD: plan + initial bin edges from (sampled) bases.
     t0 = time.perf_counter()
-    gd_plan = gd_stats = None
+    gd_plan = None
     seeds = None
     if use_gd_bases:
         head = sample.iloc[:GD_SAMPLE_ROWS]
@@ -99,14 +90,12 @@ def build_synopsis(
             c: v[: 10 * _max_edges(ns, M)]
             for c, v in greedygd.base_edges(head, gd_plan).items()
         }
-        if compute_gd_stats:
-            gd_stats = greedygd.compress_stats(df, infos, gd_plan)
     timings["gd"] = time.perf_counter() - t0
 
     # Widen with the full-data encoded range so sampled extrema don't truncate.
     ranges = {info.name: (0.0, float(info.encoded_max)) for info in infos}
     ph = _refine_all(sample, n_rows, M, alpha, seeds, ranges, timings)
-    return BuildResult(ph=ph, infos=infos, gd_plan=gd_plan, gd_stats=gd_stats, timings=timings)
+    return BuildResult(ph=ph, infos=infos, gd_plan=gd_plan, timings=timings)
 
 
 def build_local(

@@ -23,7 +23,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from repro.core.hypothesis import sub_bin_count
-from repro.core.model import HistView
+from repro.core.model import Hist1D
 from repro.queries import OPS, Cond, Group, Node, QueryError
 from repro.stats import chi2_critical
 
@@ -172,15 +172,16 @@ class Bounded(NamedTuple):
     hi: np.ndarray
 
 
-def region_coverage(region: Region, view: HistView, M: int, alpha: float) -> Bounded:
-    """Coverage of ``region`` for every bin of ``view``.
+def region_coverage(region: Region, hist: Hist1D, M: int, alpha: float) -> Bounded:
+    """Coverage of ``region`` for every bin of ``hist``: a column's 1-d
+    histogram or one dimension of a pair (``Hist2D.pred_view``).
 
-    The bins of a view are sorted and disjoint: an occupied bin ``t`` holds
+    The bins are sorted and disjoint: an occupied bin ``t`` holds
     values in ``[e_t, e_{t+1})`` (the last bin also takes its upper edge).
     So an interval covers every occupied bin strictly between the two bins
     its ends fall in, and only those two end bins can be covered in part.
     """
-    edges, uniq = view.edges, view.uniq
+    edges, uniq = hist.edges, hist.uniq
     k = len(uniq)
     beta = np.zeros(k)
     touched: set[int] = set()
@@ -191,7 +192,7 @@ def region_coverage(region: Region, view: HistView, M: int, alpha: float) -> Bou
             beta[t_a + 1 : t_b] += uniq[t_a + 1 : t_b] > 0
         for t in {t_a, t_b}:
             beta[t] += _end_bin_coverage(
-                float(a), float(b), float(view.vmin[t]), float(view.vmax[t]), int(uniq[t])
+                float(a), float(b), float(hist.vmin[t]), float(hist.vmax[t]), int(uniq[t])
             )
         touched.update((t_a, t_b))
     np.minimum(beta, 1.0, out=beta)  # the clip to [0, 1]: no term is negative
@@ -203,7 +204,7 @@ def region_coverage(region: Region, view: HistView, M: int, alpha: float) -> Bou
     if any(0.0 < beta[t] < 1.0 for t in idx):
         idx = np.array(idx)
         lo[idx], hi[idx] = coverage_bounds(
-            beta[idx], view.counts[idx].astype(np.float64), uniq[idx], M, alpha
+            beta[idx], hist.counts[idx].astype(np.float64), uniq[idx], M, alpha
         )
     return Bounded(beta, lo, hi)
 

@@ -24,18 +24,6 @@ from repro.core.hypothesis import sub_bin_count
 MU = 1.0
 
 
-class HistView(NamedTuple):
-    """The per-dimension view coverage computation needs (Sec. 5.2): bin
-    edges, counts and metadata. Built from a ``Hist1D`` or from one
-    dimension of a ``Hist2D``."""
-
-    edges: np.ndarray
-    counts: np.ndarray
-    vmin: np.ndarray
-    vmax: np.ndarray
-    uniq: np.ndarray
-
-
 def centre_bounds(
     counts: np.ndarray,
     vmin: np.ndarray,
@@ -105,9 +93,6 @@ class Hist1D:
     def centre_bounds(self, M: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
         return centre_bounds(self.counts, self.vmin, self.vmax, self.uniq, M, alpha)
 
-    def view(self) -> HistView:
-        return HistView(self.edges, self.counts, self.vmin, self.vmax, self.uniq)
-
 
 @dataclass
 class MarginalMeta:
@@ -143,16 +128,18 @@ class Hist2D:
             return self.counts.T, self.edges_j, self.edges_i, self.meta_j, self.meta_i
         raise KeyError(f"column {agg} not in pair ({self.i},{self.j})")
 
-    def pred_view(self, pred: int) -> HistView:
-        """HistView of the predicate dimension (marginal counts + metadata)."""
+    def pred_view(self, pred: int) -> Hist1D:
+        """The predicate dimension as a 1-d histogram: its fine edges, the
+        marginal counts and the marginal metadata."""
         H, _, e_pred, _, meta = self.oriented(self.i if pred == self.j else self.j)
-        return HistView(e_pred, H.sum(axis=0), meta.vmin, meta.vmax, meta.uniq)
+        return Hist1D(e_pred, H.sum(axis=0), meta.vmin, meta.vmax, meta.uniq)
 
 
 class ColumnState(NamedTuple):
-    """Query-time state of one column, derived from its ``Hist1D``."""
+    """Query-time state of one column: its ``Hist1D`` and what is derived
+    from it."""
 
-    view: HistView
+    hist: Hist1D
     h: np.ndarray  # bin counts as float64
     safe_h: np.ndarray  # ``h`` with empty bins set to 1, a safe divisor
     centres: tuple[np.ndarray, np.ndarray, np.ndarray]  # midpoints, c^-, c^+ (Eq. 10)
@@ -207,7 +194,7 @@ class PairwiseHist:
             safe_h = np.where(h > 0, h, 1.0)
             centres = (hist.midpoints, *hist.centre_bounds(self.M, self.alpha))
             st = self.derived[i] = ColumnState(
-                hist.view(), *read_only(h, safe_h), read_only(*centres)
+                hist, *read_only(h, safe_h), read_only(*centres)
             )
         return st
 

@@ -4,10 +4,10 @@ Bin midpoints and weighted-centre bounds are *not* stored (re-derivable).
 Bin counts use ``l_h = ceil(log2(1 + max_count))`` bits each (Eq. 13),
 stored either densely bit-packed or sparsely (Golomb-coded deltas of the
 non-zero indices + packed values), whichever is smaller — the
-dense/sparse indicator is one flag byte per histogram. Edges are stored
-as float32 deltas are unnecessary — edge values are dyadic midpoints, and
-metadata (min/max per bin) are ``m``-byte integers with unique counts as
-varints.
+dense/sparse indicator is one flag byte per histogram. Edges and the
+per-bin metadata (min, max and unique count) are float arrays, each
+stored as float32 when every value is exactly representable in it, else
+as float64 (the paper's ``m`` bytes per value, chosen per array).
 
 ``serialize``/``deserialize`` round-trip a full synopsis exactly;
 ``eq12_bound`` evaluates the paper's storage upper bound for comparison.
@@ -25,8 +25,10 @@ _MAGIC = b"PWH1"
 
 
 class CorruptSynopsis(ValueError):
-    """A synopsis blob that does not decode: bad magic, truncated, or
-    with bytes after the last histogram."""
+    """A synopsis blob that does not decode: bad magic, truncated, with
+    bytes after the last histogram, metadata that does not match its bin
+    count, or a pair histogram that repeats another or whose columns are
+    not ``i < j < d``."""
 
 
 def _unpack(fmt: str, buf: bytes, offset: int) -> tuple[tuple, int]:
@@ -256,10 +258,15 @@ def _pack_meta(vmin: np.ndarray, vmax: np.ndarray, uniq: np.ndarray) -> bytes:
     return _pack_f64(vmin) + _pack_f64(vmax) + _pack_f64(uniq.astype(np.float64))
 
 
-def _unpack_meta(buf: bytes, offset: int):
+def _unpack_meta(buf: bytes, offset: int, k: int):
+    """The metadata of ``k`` bins."""
     vmin, offset = _unpack_f64(buf, offset)
     vmax, offset = _unpack_f64(buf, offset)
     uniq, offset = _unpack_f64(buf, offset)
+    if not len(vmin) == len(vmax) == len(uniq) == k:
+        raise CorruptSynopsis(
+            f"metadata of {len(vmin)}/{len(vmax)}/{len(uniq)} bins for {k} bins"
+        )
     return vmin, vmax, uniq.astype(np.int64), offset
 
 
@@ -273,7 +280,7 @@ def _pack_hist1d(h: Hist1D) -> bytes:
 
 def _unpack_hist1d(buf: bytes, offset: int) -> tuple[Hist1D, int]:
     edges, offset = _unpack_f64(buf, offset)
-    vmin, vmax, uniq, offset = _unpack_meta(buf, offset)
+    vmin, vmax, uniq, offset = _unpack_meta(buf, offset, len(edges) - 1)
     counts, offset = _decode_counts(buf, offset, len(edges) - 1)
     return Hist1D(edges, counts, vmin, vmax, uniq), offset
 
@@ -294,9 +301,9 @@ def _unpack_hist2d(buf: bytes, offset: int) -> tuple[Hist2D, int]:
     (i, j), offset = _unpack("<II", buf, offset)
     ei, offset = _unpack_f64(buf, offset)
     ej, offset = _unpack_f64(buf, offset)
-    vmin_i, vmax_i, uniq_i, offset = _unpack_meta(buf, offset)
-    vmin_j, vmax_j, uniq_j, offset = _unpack_meta(buf, offset)
     ki, kj = len(ei) - 1, len(ej) - 1
+    vmin_i, vmax_i, uniq_i, offset = _unpack_meta(buf, offset, ki)
+    vmin_j, vmax_j, uniq_j, offset = _unpack_meta(buf, offset, kj)
     flat, offset = _decode_counts(buf, offset, ki * kj)
     return (
         Hist2D(
@@ -331,7 +338,9 @@ def serialize(ph: PairwiseHist) -> bytes:
 
 def deserialize(buf: bytes) -> PairwiseHist:
     """Decode a :func:`serialize` blob; raises :class:`CorruptSynopsis`
-    on a bad magic, a truncated blob or trailing bytes."""
+    on a bad magic, a truncated blob, trailing bytes, metadata of the
+    wrong length, or a pair ``(i, j)`` that is repeated or not
+    ``0 <= i < j < d``."""
     if buf[:4] != _MAGIC:
         raise CorruptSynopsis("bad magic")
     (n_rows, n_sample, M, alpha), offset = _unpack("<QQId", buf, 4)
@@ -343,6 +352,8 @@ def deserialize(buf: bytes) -> PairwiseHist:
     hists2d = {}
     for _ in range(n_pairs):
         h, offset = _unpack_hist2d(buf, offset)
+        if not 0 <= h.i < h.j < d or (h.i, h.j) in hists2d:
+            raise CorruptSynopsis(f"pair ({h.i}, {h.j}) in a {d}-column synopsis")
         hists2d[(h.i, h.j)] = h
     if offset != len(buf):
         raise CorruptSynopsis(f"{len(buf) - offset} trailing bytes")
@@ -354,15 +365,16 @@ def synopsis_bytes(ph: PairwiseHist) -> int:
     return len(serialize(ph))
 
 
-def eq12_bound(ph: PairwiseHist, bytes_per_value: dict[int, int] | None = None) -> int:
+def eq12_bound(ph: PairwiseHist) -> int:
     """The paper's storage upper bound (Eq. 12) for comparison: params +
-    1-d + 2-d edge/metadata terms + bit-packed counts."""
+    1-d + 2-d edge/metadata terms + bit-packed counts, with ``m_i = 4``
+    bytes per edge and metadata value (float32) in every column ``i``."""
     d = ph.d
     total = 29 + d + 4 * d * d
     k1 = {i: ph.hists1d[i].k for i in range(d)}
+    m_i = 4
     # sum over i of (3 m_i + 4) * (sum_j k^(i|j) - (d-1) k^(i))
     for i in range(d):
-        m_i = (bytes_per_value or {}).get(i, 4)
         sum_k = k1[i]  # the 1-d histogram itself
         for (a, b), h2 in ph.hists2d.items():
             if a == i:

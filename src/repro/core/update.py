@@ -35,12 +35,12 @@ def _update_1d(hist, v: np.ndarray) -> None:
     hist.counts += add
 
 
-def append_rows(ph: PairwiseHist, batch: pd.DataFrame, sample_ratio: float | None = None) -> None:
+def append_rows(ph: PairwiseHist, batch: pd.DataFrame) -> None:
     """Fold an encoded batch (columns in synopsis order, NaN nulls) into
-    ``ph`` in place. ``sample_ratio`` mirrors construction sampling: the
-    fraction of the batch that lands in the synopsis (rho is kept
-    consistent by updating both N and N_s)."""
-    rho = sample_ratio if sample_ratio is not None else ph.rho
+    ``ph`` in place. The batch is sampled at the synopsis's own ``rho``,
+    as construction sampled the table, and both N and N_s grow, so rho
+    stays consistent."""
+    rho = ph.rho
     n_new = len(batch)
     take = batch
     if rho < 1.0 and n_new > 0:

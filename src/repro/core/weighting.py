@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core import coverage as cov
 from repro.core.coverage import Bounded
-from repro.core.model import HistView, PairwiseHist, map_fine_to_coarse, read_only
+from repro.core.model import Hist1D, PairwiseHist, map_fine_to_coarse, read_only
 from repro.stats import Z_98
 
 
@@ -34,7 +34,7 @@ class _PairState(NamedTuple):
 
     Hf: np.ndarray  # H as float64, aggregation column on the rows
     fmap: np.ndarray  # coarse 1-d bin of each fine aggregation bin
-    pred_view: HistView
+    pred_view: Hist1D
 
 
 def _pair_state(ph: PairwiseHist, agg: int, pred: int) -> _PairState:
@@ -58,7 +58,7 @@ def _prob_from_region(
     M, alpha = ph.M, ph.alpha
     col = ph.column_state(agg)
     if j == agg:
-        return cov.region_coverage(region, col.view, M, alpha)
+        return cov.region_coverage(region, col.hist, M, alpha)
     st = _pair_state(ph, agg, j)
     c = cov.region_coverage(region, st.pred_view, M, alpha)
     k = len(col.h)

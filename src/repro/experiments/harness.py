@@ -96,14 +96,13 @@ def run_pairwisehist(
     truths: dict[int, float | None],
     *,
     n_sample: int,
-    use_gd_bases: bool = True,
     seed: int = 0,
 ) -> tuple[EngineReport, "object"]:
     """Build PairwiseHist via Spark and answer the workload. Returns the
     report and the BuildResult (for storage/GD follow-ups)."""
     sdf = spark.createDataFrame(pdf)
     t0 = time.perf_counter()
-    built = build_synopsis(sdf, n_sample=n_sample, use_gd_bases=use_gd_bases, seed=seed)
+    built = build_synopsis(sdf, n_sample=n_sample, seed=seed)
     build_s = time.perf_counter() - t0
     engine = PHEngine(built.ph, built.infos)
     rep = EngineReport(

@@ -105,20 +105,13 @@ class GDStats:
         """Compression vs. bit-packed binary."""
         return self.raw_bytes / self.compressed_bytes if self.compressed_bytes else 1.0
 
-    @property
-    def text_ratio(self) -> float:
-        """Compression vs. the original text format (Fig. 11b baseline)."""
-        return self.text_bytes / self.compressed_bytes if self.compressed_bytes else 1.0
-
 
 def _size_bits(n_rows: int, n_bases: int, base_row_bits: int, dev_row_bits: int) -> int:
     id_bits = max(1, math.ceil(math.log2(max(2, n_bases))))
     return n_bases * base_row_bits + n_rows * (dev_row_bits + id_bits)
 
 
-def choose_plan(
-    sample: pd.DataFrame, infos: list[ColumnInfo], max_iters: int | None = None
-) -> GDPlan:
+def choose_plan(sample: pd.DataFrame, infos: list[ColumnInfo]) -> GDPlan:
     """Greedy deviation-bit selection on an encoded sample.
 
     Starting from "everything in the base", repeatedly move the least
@@ -162,12 +155,11 @@ def choose_plan(
             best, dev = sz, trial
 
     # Phase 2 — greedy fine-tune from the seeded plan.
-    iters = max_iters if max_iters is not None else 16 * len(cols)
     # Candidate moves jump 1/2/4/8 bits at once: from the all-base start
     # the size landscape is flat until enough low bits leave the base for
     # rows to collide, so single-bit steps alone get stuck immediately.
     jumps = (1, 2, 4, 8)
-    for _ in range(iters):
+    for _ in range(16 * len(cols)):
         candidate_best = None
         for c in cols:
             for k in jumps:
@@ -195,10 +187,13 @@ def base_columns(df: DataFrame, plan: GDPlan) -> DataFrame:
     return df.select(*exprs)
 
 
-def compress_stats(df: DataFrame, infos: list[ColumnInfo], plan: GDPlan) -> GDStats:
-    """Count deduplicated bases over the full raw frame ``df`` and report
-    sizes. The rows are encoded with :func:`encode_pandas` inside Spark's
-    Python workers.
+def compress_stats(
+    df: DataFrame, infos: list[ColumnInfo], plan: GDPlan, n_rows: int
+) -> GDStats:
+    """Count deduplicated bases over the full raw frame ``df`` of
+    ``n_rows`` rows (the count the build's profile scan already took) and
+    report sizes. The rows are encoded with :func:`encode_pandas` inside
+    Spark's Python workers.
 
     ``raw_bytes`` is the bit-packed uncompressed size of the encoded
     integer columns (the fair baseline the GD papers compare against).
@@ -206,7 +201,6 @@ def compress_stats(df: DataFrame, infos: list[ColumnInfo], plan: GDPlan) -> GDSt
     schema = T.StructType([T.StructField(i.name, T.DoubleType()) for i in infos])
     enc = df.mapInPandas(lambda batches: (encode_pandas(b, infos) for b in batches), schema)
     enc = enc.select(*[F.col(i.name).cast("long") for i in infos])
-    n_rows = df.count()
     n_bases = base_columns(enc, plan).distinct().count()
     base_row_bits = sum(plan.base_bits(c) for c in plan.columns)
     dev_row_bits = sum(plan.dev_bits[c] for c in plan.columns)
@@ -239,13 +233,3 @@ def base_edges(sample: pd.DataFrame, plan: GDPlan) -> dict[str, np.ndarray]:
         out[c] = np.unique((v >> b) << b).astype(np.float64)
     return out
 
-
-def split_rows(values: np.ndarray, dev_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split one column into (base, deviation) — used by losslessness tests."""
-    v = values.astype(np.int64)
-    return v >> dev_bits, v & ((1 << dev_bits) - 1)
-
-
-def reconstruct(base: np.ndarray, deviation: np.ndarray, dev_bits: int) -> np.ndarray:
-    """Inverse of :func:`split_rows`; GD is lossless."""
-    return (base << dev_bits) | deviation

@@ -2,9 +2,9 @@
 
 Implements the regularized incomplete gamma function (series + Lentz
 continued fraction), the chi-squared survival function and quantile
-(inverted by bisection), the standard normal cdf/ppf and truncated-normal
-moments. Quantiles are cached — PairwiseHist evaluates
-``chi2_critical(alpha, s)`` for a handful of distinct sub-bin counts.
+(inverted by bisection) and the standard normal cdf/ppf. Quantiles are
+cached — PairwiseHist evaluates ``chi2_critical(alpha, s)`` for a handful
+of distinct sub-bin counts.
 """
 from __future__ import annotations
 
@@ -172,18 +172,3 @@ Z_98 = norm_ppf(0.99)
 #: z for DeepDB-style 99 % confidence bounds (Table 6 setting).
 Z_99 = norm_ppf(0.995)
 
-
-def norm_pdf(x):
-    x = np.asarray(x, dtype=np.float64)
-    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-def truncnorm_mean(mu, sigma, lo, hi):
-    """Mean of a normal(mu, sigma) truncated to [lo, hi], vectorized.
-    Used by the DBEst++-lite baseline for range-restricted expectations."""
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.maximum(np.asarray(sigma, dtype=np.float64), 1e-12)
-    a = (np.asarray(lo, dtype=np.float64) - mu) / sigma
-    b = (np.asarray(hi, dtype=np.float64) - mu) / sigma
-    z = np.maximum(norm_cdf(b) - norm_cdf(a), 1e-300)
-    return mu + sigma * (norm_pdf(a) - norm_pdf(b)) / z

@@ -9,6 +9,7 @@ import pytest
 from repro.core import coverage as cov
 from repro.core.build import build_local, build_synopsis
 from repro.core.engine import PHEngine
+from repro.datasets import gen_power
 from repro.gd.preprocess import ColumnInfo
 
 
@@ -74,11 +75,8 @@ def null_pdf() -> pd.DataFrame:
 
 @pytest.fixture(scope="session")
 def lineitem_built(spark):
-    """PairwiseHist built through the full Spark path on TPC-H-lite
-    lineitem (SF=0.002, numeric projection)."""
-    from repro.synth_data import lineitem
-
-    li = lineitem(spark, sf=0.002).select(
-        "l_quantity", "l_extendedprice", "l_discount", "l_tax"
-    )
-    return build_synopsis(li, n_sample=6000, seed=1), li
+    """PairwiseHist built through the full Spark path on a four-column
+    numeric projection of 12,000 Power rows (no nulls)."""
+    cols = ["global_active_power", "global_reactive_power", "voltage", "global_intensity"]
+    df = spark.createDataFrame(gen_power(12_000)[cols])
+    return build_synopsis(df, n_sample=6000, seed=1), df

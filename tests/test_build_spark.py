@@ -22,6 +22,8 @@ class TestDefaultM:
 
 
 class TestLineitemBuild:
+    """The full Spark build over a null-free four-column numeric table."""
+
     def test_structure(self, lineitem_built):
         res, li = lineitem_built
         ph = res.ph
@@ -35,7 +37,7 @@ class TestLineitemBuild:
         res, _ = lineitem_built
         ph = res.ph
         for h in ph.hists1d:
-            assert h.counts.sum() == ph.n_sample  # no nulls in lineitem
+            assert h.counts.sum() == ph.n_sample  # no nulls in Power
         for h2 in ph.hists2d.values():
             assert h2.counts.sum() == ph.n_sample
 
@@ -104,11 +106,13 @@ class TestBuildVariants:
         assert ph.hists1d[1].counts.sum() < ph.n_sample
         assert ph.hists1d[0].counts.sum() == ph.n_sample
 
-    def test_compute_gd_stats(self, small_df):
+    def test_compress_stats_over_the_build(self, small_df):
+        """The GD storage statistics over the build's own plan and row count."""
         sdf, _ = small_df
-        res = build_synopsis(sdf, n_sample=2000, compute_gd_stats=True)
-        assert res.gd_stats is not None
-        assert res.gd_stats.n_rows == 5000
+        res = build_synopsis(sdf, n_sample=2000)
+        st = greedygd.compress_stats(sdf, res.infos, res.gd_plan, res.ph.n_rows)
+        assert st.n_rows == 5000
+        assert st.ratio > 0
 
     def test_bases_seed_initial_edges(self, small_df):
         """With GD bases the uniform column must get multi-bin structure

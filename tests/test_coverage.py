@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import coverage as cov
-from repro.core.model import HistView
+from repro.core.model import Hist1D
 
 INF = float("inf")
 
 
 def _view(edges, counts, vmin, vmax, uniq):
-    return HistView(
+    return Hist1D(
         np.asarray(edges, float),
         np.asarray(counts, np.int64),
         np.asarray(vmin, float),

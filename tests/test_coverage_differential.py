@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from repro.core import coverage as cov
 from repro.core.hypothesis import sub_bin_count
-from repro.core.model import HistView
+from repro.core.model import Hist1D
 from repro.queries import OPS
 from repro.stats import chi2_critical
 
 
-def reference_coverage(region, view: HistView, M: int, alpha: float) -> cov.Bounded:
+def reference_coverage(region, view: Hist1D, M: int, alpha: float) -> cov.Bounded:
     """Every bin against every interval, with boolean masks."""
     vmin, vmax = view.vmin, view.vmax
     u = view.uniq.astype(np.float64)
@@ -51,7 +51,7 @@ M = 12
 
 
 @st.composite
-def views(draw) -> HistView:
+def views(draw) -> Hist1D:
     """A sorted view as the build and ``append_rows`` leave it: occupied
     bins hold integers inside their edges, with a unique count that may
     disagree with the span (appends widen extrema without exact uniques),
@@ -78,7 +78,7 @@ def views(draw) -> HistView:
             vmin.append(ints[lo])
             vmax.append(ints[hi])
         uniq.append(u)
-    return HistView(
+    return Hist1D(
         edges,
         np.array(counts, np.int64),
         np.array(vmin, float),
@@ -126,7 +126,7 @@ def test_end_bin_coverage_equals_all_bins_reference(case, alpha):
 
 
 def test_two_interval_neq_full_and_empty():
-    view = HistView(
+    view = Hist1D(
         np.array([0.0, 10.0, 20.0, 30.0]),
         np.array([50, 5, 50]),
         np.array([0.0, 12.0, 20.0]),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.datasets import DATASETS
 from repro.gd import greedygd
-from repro.gd.preprocess import ColumnInfo, _decimals_needed, encode_pandas, profile
+from repro.gd.preprocess import ColumnInfo, _decimals_needed, encode_pandas, scan
 
 
 def _infos(pdf):
@@ -54,21 +54,12 @@ class TestPlan:
         assert plan.dev_bits["x"] == 0
 
 
-class TestSplitReconstruct:
-    @pytest.mark.parametrize("dev_bits", [0, 3, 8, 17])
-    def test_lossless(self, dev_bits):
-        rng = np.random.default_rng(2)
-        vals = rng.integers(0, 2**24, 1000)
-        base, dev = greedygd.split_rows(vals, dev_bits)
-        np.testing.assert_array_equal(greedygd.reconstruct(base, dev, dev_bits), vals)
-        assert (dev < 2**dev_bits).all() or dev_bits == 0
-
-
 class TestCompressStats:
     def test_redundant_data_compresses(self, spark, redundant_pdf):
         sdf = spark.createDataFrame(redundant_pdf)
         plan = greedygd.choose_plan(redundant_pdf, _infos(redundant_pdf))
-        stats = greedygd.compress_stats(sdf, profile(sdf), plan)
+        infos, n_rows = scan(sdf)
+        stats = greedygd.compress_stats(sdf, infos, plan, n_rows)
         assert stats.n_rows == len(redundant_pdf)
         assert stats.n_bases < stats.n_rows / 3
         assert stats.ratio > 1.0
@@ -76,7 +67,8 @@ class TestCompressStats:
     def test_base_count_at_least_distinct_patterns(self, spark, redundant_pdf):
         sdf = spark.createDataFrame(redundant_pdf)
         plan = greedygd.choose_plan(redundant_pdf, _infos(redundant_pdf))
-        stats = greedygd.compress_stats(sdf, profile(sdf), plan)
+        infos, n_rows = scan(sdf)
+        stats = greedygd.compress_stats(sdf, infos, plan, n_rows)
         assert stats.n_bases >= 16  # at least the planted pattern count
 
     def test_matches_spark_encoded_reference(self, spark):
@@ -86,10 +78,10 @@ class TestCompressStats:
 
         pdf, schema = without_tie(every_kind_frame())
         sdf = spark.createDataFrame(pdf, schema)
-        infos = profile(sdf)
+        infos, n_scanned = scan(sdf)
         plan = greedygd.choose_plan(encode_pandas(pdf.head(1000), infos), infos)
         assert sum(plan.dev_bits.values()) > 0 and sum(map(plan.base_bits, plan.columns)) > 0
-        stats = greedygd.compress_stats(sdf, infos, plan)
+        stats = greedygd.compress_stats(sdf, infos, plan, n_scanned)
 
         enc = reference_spark_encode(sdf, infos)
         n_rows = enc.count()
@@ -117,9 +109,9 @@ class TestCompressStats:
             }
         )
         sdf = spark.createDataFrame(pdf)
-        infos = profile(sdf)
+        infos, n_rows = scan(sdf)
         plan = greedygd.choose_plan(encode_pandas(pdf, infos), infos)
-        stats = greedygd.compress_stats(sdf, infos, plan)
+        stats = greedygd.compress_stats(sdf, infos, plan, n_rows)
         head = pdf.head(2000)
         per_row = len(head.to_csv(index=False, header=False)) / len(head)
         assert stats.text_bytes == int(per_row * n)
@@ -152,7 +144,7 @@ def reference_n_unique_rows(arr: np.ndarray) -> int:
     return len(np.unique(a.view([("", a.dtype)] * a.shape[1])))
 
 
-def reference_choose_plan(sample, infos, max_iters=None) -> greedygd.GDPlan:
+def reference_choose_plan(sample, infos) -> greedygd.GDPlan:
     """The plan search with one void-view ``np.unique`` per candidate and
     per phase-1 shift."""
     cols = [i.name for i in infos]
@@ -186,8 +178,7 @@ def reference_choose_plan(sample, infos, max_iters=None) -> greedygd.GDPlan:
         sz = size_for(trial)
         if sz < best:
             best, dev = sz, trial
-    iters = max_iters if max_iters is not None else 16 * len(cols)
-    for _ in range(iters):
+    for _ in range(16 * len(cols)):
         candidate_best = None
         for c in cols:
             for k in (1, 2, 4, 8):

@@ -1,38 +1,44 @@
 """Tests for the exact engines — including oracle cross-checks between
 exact Spark SQL and DuckDB (repro.oracle) so the ground truth itself is
-verified, plus TPC-H-lite coverage."""
-import numpy as np
+verified, on an order-line-shaped table cut from Power."""
 import pandas as pd
 import pytest
 
+from repro.datasets import gen_power
 from repro.ground_truth import ExactEngine, exact_spark
 from repro.oracle import assert_equivalent
 from repro.queries import Cond, Group, Query, query_sql
-from repro.synth_data import lineitem, orders
+
+#: Power's columns in the roles of an order-line table: a quantity, a
+#: price, a discount and a categorical flag.
+ROLES = {
+    "global_intensity": "l_quantity",
+    "voltage": "l_extendedprice",
+    "global_active_power": "l_discount",
+    "tariff": "l_returnflag",
+}
 
 
 @pytest.fixture(scope="module")
-def li(spark):
-    return lineitem(spark, sf=0.002).select(
-        "l_orderkey", "l_quantity", "l_extendedprice", "l_discount", "l_returnflag"
-    )
+def li_pdf():
+    return gen_power(12_000)[list(ROLES)].rename(columns=ROLES)
 
 
 @pytest.fixture(scope="module")
-def li_pdf(li):
-    return li.toPandas()
+def li(spark, li_pdf):
+    return spark.createDataFrame(li_pdf)
 
 
 QUERIES = [
-    Query("COUNT", "l_quantity", Cond("l_extendedprice", "<", 30_000.0)),
-    Query("SUM", "l_extendedprice", Cond("l_quantity", ">=", 25.0)),
-    Query("AVG", "l_quantity", Cond("l_returnflag", "=", "R")),
-    Query("MIN", "l_extendedprice", Cond("l_quantity", ">", 45.0)),
-    Query("MAX", "l_quantity", Cond("l_discount", "<=", 0.05)),
+    Query("COUNT", "l_quantity", Cond("l_extendedprice", "<", 240.0)),
+    Query("SUM", "l_extendedprice", Cond("l_quantity", ">=", 5.0)),
+    Query("AVG", "l_quantity", Cond("l_returnflag", "=", "peak")),
+    Query("MIN", "l_extendedprice", Cond("l_quantity", ">", 15.0)),
+    Query("MAX", "l_quantity", Cond("l_discount", "<=", 0.5)),
     Query(
         "SUM",
         "l_quantity",
-        Group("or", (Cond("l_returnflag", "=", "A"), Cond("l_discount", ">", 0.08))),
+        Group("or", (Cond("l_returnflag", "=", "offpeak"), Cond("l_discount", ">", 2.0))),
     ),
 ]
 
@@ -55,7 +61,7 @@ def test_exact_engine_scalar(li_pdf):
     ex = ExactEngine(li_pdf)
     q = QUERIES[0]
     v = ex.scalar(q)
-    truth = (li_pdf["l_extendedprice"] < 30_000).sum()
+    truth = (li_pdf["l_extendedprice"] < 240.0).sum()
     assert v == truth
     ex.close()
 
@@ -69,10 +75,10 @@ def test_exact_engine_none_on_empty(li_pdf):
 
 def test_exact_engine_groups(li_pdf):
     ex = ExactEngine(li_pdf)
-    q = Query("COUNT", "l_quantity", Cond("l_quantity", ">", 10.0), group_by="l_returnflag")
+    q = Query("COUNT", "l_quantity", Cond("l_quantity", ">", 6.0), group_by="l_returnflag")
     groups = ex.groups(q)
     assert set(groups) == set(li_pdf["l_returnflag"].unique())
-    assert sum(groups.values()) == (li_pdf["l_quantity"] > 10).sum()
+    assert sum(groups.values()) == (li_pdf["l_quantity"] > 6).sum()
     ex.close()
 
 
@@ -80,7 +86,7 @@ def test_groupby_spark_oracle(spark, li, li_pdf):
     """Grouped exact query cross-checked through the oracle."""
     from pyspark.sql import functions as F
 
-    q = Query("AVG", "l_quantity", Cond("l_extendedprice", ">", 10_000.0), group_by="l_returnflag")
+    q = Query("AVG", "l_quantity", Cond("l_extendedprice", ">", 238.0), group_by="l_returnflag")
     result = exact_spark(spark, li, q).select("grp", F.round("val", 4).alias("val"))
     assert_equivalent(
         result,
@@ -89,21 +95,23 @@ def test_groupby_spark_oracle(spark, li, li_pdf):
     )
 
 
-def test_join_shaped_oracle(spark):
-    """Exercise the shuffle path: aggregate over a lineitem-orders join,
-    validated by the oracle (broadcast joins are disabled in conftest)."""
-    li = lineitem(spark, sf=0.002)
-    od = orders(spark, sf=0.002)
+def test_join_shaped_oracle(spark, li, li_pdf):
+    """Exercise the shuffle path: aggregate over a join with a small
+    per-flag table, validated by the oracle (broadcast joins are disabled
+    in conftest)."""
+    fl_pdf = pd.DataFrame(
+        {"f_flag": ["peak", "shoulder", "offpeak"], "f_band": ["high", "high", "low"]}
+    )
+    fl = spark.createDataFrame(fl_pdf)
     joined = (
-        li.join(od, li.l_orderkey == od.o_orderkey)
-        .groupBy("o_orderpriority")
+        li.join(fl, li.l_returnflag == fl.f_flag)
+        .groupBy("f_band")
         .count()
         .withColumnRenamed("count", "n")
     )
     assert_equivalent(
         joined,
-        "SELECT o_orderpriority, count(*) AS n FROM li JOIN od ON l_orderkey = o_orderkey "
-        "GROUP BY o_orderpriority",
-        li=li.toPandas(),
-        od=od.toPandas(),
+        "SELECT f_band, count(*) AS n FROM li JOIN fl ON l_returnflag = f_flag GROUP BY f_band",
+        li=li_pdf,
+        fl=fl_pdf,
     )

@@ -64,10 +64,13 @@ class TestHist1D:
         assert h.midpoints[0] == 5.0
 
     def test_view_roundtrip(self):
+        """The query path reads a column through its ``Hist1D`` itself and
+        leaves its arrays writable, for ``append_rows`` to update in place."""
         h = _hist([5, 6], [0, 1], [1, 2], [2, 2])
-        v = h.view()
-        np.testing.assert_array_equal(v.counts, h.counts)
-        np.testing.assert_array_equal(v.edges, h.edges)
+        st = PairwiseHist(11, 11, 8, 0.001, [h]).column_state(0)
+        assert st.hist is h
+        np.testing.assert_array_equal(st.h, h.counts)
+        assert h.counts.flags.writeable and h.edges.flags.writeable
 
 
 class TestMapFineToCoarse:

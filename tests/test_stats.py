@@ -1,5 +1,4 @@
 """Tests for the from-scratch statistics kernel (no scipy available)."""
-import math
 
 import numpy as np
 import pytest
@@ -110,18 +109,3 @@ def test_gammainc_in_unit_interval(a, x):
     v = stats.gammainc_lower(a, x)
     assert -1e-12 <= v <= 1.0 + 1e-12
 
-
-def test_truncnorm_mean_centered():
-    # symmetric truncation around the mean leaves it unchanged
-    assert float(stats.truncnorm_mean(0.0, 1.0, -2.0, 2.0)) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_truncnorm_mean_one_sided():
-    # mean of standard normal truncated to [0, inf) is sqrt(2/pi)
-    m = float(stats.truncnorm_mean(0.0, 1.0, 0.0, 40.0))
-    assert m == pytest.approx(math.sqrt(2 / math.pi), abs=1e-3)
-
-
-def test_truncnorm_mean_within_interval():
-    m = float(stats.truncnorm_mean(10.0, 3.0, 11.0, 14.0))
-    assert 11.0 <= m <= 14.0

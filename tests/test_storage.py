@@ -1,5 +1,8 @@
 """Tests for the Sec. 4.3 storage encoding: bit packing, Golomb coding,
 dense/sparse counts and full synopsis round-trips."""
+import copy
+import struct
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -178,6 +181,35 @@ class TestCorruptSynopsis:
     def test_is_a_value_error(self):
         with pytest.raises(ValueError):
             deserialize(b"")
+
+    @pytest.fixture(scope="class")
+    def three_columns(self):
+        from repro.core.build import build_local
+
+        rng = np.random.default_rng(6)
+        a = rng.integers(0, 300, 600).astype(float)
+        pdf = pd.DataFrame({"a": a, "b": np.round(a + rng.normal(0, 9, 600)), "c": a % 7})
+        return build_local(pdf)
+
+    @pytest.mark.parametrize("pair", [(7, 1), (1, 0), (0, 0), (0, 2)])
+    def test_bad_pair_rejected(self, three_columns, pair):
+        """A first pair header outside ``0 <= i < j < d``, or repeating a
+        later pair, is rejected before a query can look the pair up."""
+        blob = serialize(three_columns)
+        at = 4 + 28 + 8 + sum(len(storage._pack_hist1d(h)) for h in three_columns.hists1d)
+        assert struct.unpack_from("<II", blob, at) == (0, 1)
+        bad = blob[:at] + struct.pack("<II", *pair) + blob[at + 8 :]
+        with pytest.raises(CorruptSynopsis, match="pair"):
+            deserialize(bad)
+
+    @pytest.mark.parametrize("where", ["hist1d.vmin", "hist1d.uniq", "meta_i.vmax", "meta_j.uniq"])
+    def test_metadata_length_mismatch_rejected(self, three_columns, where):
+        ph = copy.deepcopy(three_columns)
+        owner, field = where.split(".")
+        obj = ph.hists1d[1] if owner == "hist1d" else getattr(ph.hists2d[(0, 2)], owner)
+        setattr(obj, field, getattr(obj, field)[:-1])
+        with pytest.raises(CorruptSynopsis, match="metadata"):
+            deserialize(serialize(ph))
 
 
 class TestEq12:
