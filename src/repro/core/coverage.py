@@ -174,7 +174,7 @@ class Bounded(NamedTuple):
 
 def region_coverage(region: Region, hist: Hist1D, M: int, alpha: float) -> Bounded:
     """Coverage of ``region`` for every bin of ``hist``: a column's 1-d
-    histogram or one dimension of a pair (``Hist2D.pred_view``).
+    histogram or one dimension of a pair (``Hist2D.dim_i``/``dim_j``).
 
     The bins are sorted and disjoint: an occupied bin ``t`` holds
     values in ``[e_t, e_{t+1})`` (the last bin also takes its upper edge).

@@ -3,9 +3,11 @@
 ``Hist1D`` holds a refined one-dimensional histogram with the per-bin
 metadata the paper stores (min, max, unique count) and derives the rest
 (midpoints, weighted-centre bounds — Theorem 1 / Eq. 10). ``Hist2D`` holds
-a refined pair histogram: the bin-count matrix ``H^(ij)`` plus *marginal*
-per-dimension metadata vectors (the paper's ``v^(i|j)±``, ``u^(i|j)``,
-Fig. 4 / Algorithm 1 lines 23–26). ``PairwiseHist`` is the full synopsis.
+a refined pair histogram: the bin-count matrix ``H^(ij)`` plus one
+``Hist1D`` per dimension, with the pair's fine edges, ``H``'s marginal
+counts and that dimension's metadata (the paper's ``v^(i|j)±``,
+``u^(i|j)``, Fig. 4 / Algorithm 1 lines 23–26). ``PairwiseHist`` is the
+full synopsis.
 
 All values are in the GreedyGD-encoded integer domain (Sec. 5.1), so the
 minimum spacing ``mu`` between distinct values is 1.
@@ -95,44 +97,30 @@ class Hist1D:
 
 
 @dataclass
-class MarginalMeta:
-    """Per-fine-bin metadata for one dimension of a 2-d histogram."""
-
-    vmin: np.ndarray
-    vmax: np.ndarray
-    uniq: np.ndarray
-
-
-@dataclass
 class Hist2D:
     """Refined 2-d histogram for the column pair ``(i, j)`` with ``i < j``.
 
-    ``edges_i``/``edges_j`` are supersets of the corresponding 1-d edges
-    (2-d refinement only *adds* edges — Algorithm 1 lines 15–21).
+    ``dim_i``/``dim_j`` are the pair's dimensions as 1-d histograms: the
+    fine edges, the marginal counts ``H.sum(1)``/``H.sum(0)`` and each
+    dimension's per-bin metadata. Their edges are supersets of the
+    corresponding 1-d edges (2-d refinement only *adds* edges —
+    Algorithm 1 lines 15–21).
     """
 
     i: int
     j: int
-    edges_i: np.ndarray
-    edges_j: np.ndarray
     counts: np.ndarray  # shape (k_i, k_j)
-    meta_i: MarginalMeta
-    meta_j: MarginalMeta
+    dim_i: Hist1D
+    dim_j: Hist1D
 
-    def oriented(self, agg: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, MarginalMeta, MarginalMeta]:
-        """Return ``(H, edges_agg, edges_pred, meta_agg, meta_pred)`` with
-        the aggregation column ``agg`` on the rows."""
+    def oriented(self, agg: int) -> tuple[np.ndarray, Hist1D, Hist1D]:
+        """Return ``(H, dim_agg, dim_pred)`` with the aggregation column
+        ``agg`` on the rows."""
         if agg == self.i:
-            return self.counts, self.edges_i, self.edges_j, self.meta_i, self.meta_j
+            return self.counts, self.dim_i, self.dim_j
         if agg == self.j:
-            return self.counts.T, self.edges_j, self.edges_i, self.meta_j, self.meta_i
+            return self.counts.T, self.dim_j, self.dim_i
         raise KeyError(f"column {agg} not in pair ({self.i},{self.j})")
-
-    def pred_view(self, pred: int) -> Hist1D:
-        """The predicate dimension as a 1-d histogram: its fine edges, the
-        marginal counts and the marginal metadata."""
-        H, _, e_pred, _, meta = self.oriented(self.i if pred == self.j else self.j)
-        return Hist1D(e_pred, H.sum(axis=0), meta.vmin, meta.vmax, meta.uniq)
 
 
 class ColumnState(NamedTuple):

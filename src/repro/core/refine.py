@@ -2,14 +2,17 @@
 analogue (RefineBin2D, Fig. 5).
 
 Pure numpy: the build kernel (``build.build_local``) calls them once per
-column and once per column pair over the collected sample.
+column and once per column pair over the collected sample. Refinement
+only chooses edges; :func:`bin_stats` is the one kernel that turns values
+and edges into a ``Hist1D`` (counts, min, max, unique count), for a
+column, for each dimension of a pair and for ``update.append_rows``.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.core.hypothesis import is_uniform
-from repro.core.model import Hist1D, Hist2D, MarginalMeta
+from repro.core.model import Hist1D, Hist2D
 
 #: hard caps so adversarial data cannot blow up a synopsis.
 MAX_BINS_1D = 2048
@@ -41,50 +44,26 @@ def _refine_1d_rec(
     e_hi: float,
     M: int,
     alpha: float,
-    out: dict,
+    uppers: list[float],
+    max_bins: int,
 ) -> None:
-    """Emit refined bins for ``[e_lo, e_hi)`` left-to-right (Algorithm 2).
-
-    ``out`` accumulates parallel lists: upper edge, vmin, vmax, uniq.
-    """
-    if len(x) == 0:
-        out["edges"].append(e_hi)
-        out["vmin"].append(e_lo)
-        out["vmax"].append(e_hi)
-        out["uniq"].append(0)
-        return
-    uvals = np.unique(x)
-    nu = len(uvals)
-    if nu == 1:
-        out["edges"].append(e_hi)
-        out["vmin"].append(uvals[0])
-        out["vmax"].append(uvals[0])
-        out["uniq"].append(1)
-        return
-    at_cap = len(out["edges"]) >= out["max_bins"]
-    if len(x) < M or at_cap or is_uniform(x, e_lo, e_hi, nu, alpha).uniform:
-        out["edges"].append(e_hi)
-        out["vmin"].append(uvals[0])
-        out["vmax"].append(uvals[-1])
-        out["uniq"].append(nu)
-        return
-    # Split at the bin midpoint (equal-width — the variant the paper found
-    # slightly better than equal-depth).
-    z = 0.5 * (e_lo + e_hi)
-    left = x < z
-    if not left.any() or left.all():
-        # Degenerate split (all mass on one side of the midpoint): fall
-        # back to the median of unique values so recursion still converges.
-        z = float(uvals[nu // 2])
-        left = x < z
-        if not left.any() or left.all():
-            out["edges"].append(e_hi)
-            out["vmin"].append(uvals[0])
-            out["vmax"].append(uvals[-1])
-            out["uniq"].append(nu)
-            return
-    _refine_1d_rec(x[left], e_lo, z, M, alpha, out)
-    _refine_1d_rec(x[~left], z, e_hi, M, alpha, out)
+    """Append the upper edges of ``[e_lo, e_hi)``'s refined bins to
+    ``uppers``, left to right (Algorithm 2): split while the bin holds at
+    least ``M`` points of two or more values that fail the uniformity test
+    and ``max_bins`` bins have not been emitted. Splits follow
+    :func:`_split_point`, as in 2-d: the bin midpoint (equal-width — the
+    variant the paper found slightly better than equal-depth), else a gap
+    between two values, so a split never makes an empty-width bin."""
+    if len(x) >= M and len(uppers) < max_bins:
+        nu = len(np.unique(x))
+        if nu > 1 and not is_uniform(x, e_lo, e_hi, nu, alpha).uniform:
+            z = _split_point(x, e_lo, e_hi)
+            if z is not None:
+                left = x < z
+                _refine_1d_rec(x[left], e_lo, z, M, alpha, uppers, max_bins)
+                _refine_1d_rec(x[~left], z, e_hi, M, alpha, uppers, max_bins)
+                return
+    uppers.append(e_hi)
 
 
 def refine_1d(
@@ -94,29 +73,23 @@ def refine_1d(
     alpha: float,
     max_bins: int = MAX_BINS_1D,
 ) -> Hist1D:
-    """Build a refined 1-d histogram over ``values`` (non-null, encoded).
+    """Build a refined 1-d histogram over ``values`` (encoded; NaNs and
+    values outside the initial edges are dropped).
 
-    Iterates Algorithm 2 over each initial bin; the final edge is
+    Iterates Algorithm 2 over each initial bin for the edges, then takes
+    the counts and metadata from :func:`bin_stats`; the final edge is
     inclusive (numpy histogram convention).
     """
     x = np.asarray(values, dtype=np.float64)
-    x = x[~np.isnan(x)]
     edges0 = np.asarray(initial_edges, dtype=np.float64)
-    out = {"edges": [], "vmin": [], "vmax": [], "uniq": [], "max_bins": max_bins}
+    x = x[(x >= edges0[0]) & (x <= edges0[-1])]
+    uppers: list[float] = []
     last = len(edges0) - 2
     for t in range(len(edges0) - 1):
         lo, hi = edges0[t], edges0[t + 1]
         mask = (x >= lo) & ((x <= hi) if t == last else (x < hi))
-        _refine_1d_rec(x[mask], lo, hi, M, alpha, out)
-    edges = np.concatenate(([edges0[0]], np.asarray(out["edges"])))
-    counts, _ = np.histogram(x, bins=edges)
-    return Hist1D(
-        edges=edges,
-        counts=counts.astype(np.int64),
-        vmin=np.asarray(out["vmin"], dtype=np.float64),
-        vmax=np.asarray(out["vmax"], dtype=np.float64),
-        uniq=np.asarray(out["uniq"], dtype=np.int64),
-    )
+        _refine_1d_rec(x[mask], lo, hi, M, alpha, uppers, max_bins)
+    return bin_stats(x, np.concatenate(([edges0[0]], uppers)))
 
 
 def _split_point(vals: np.ndarray, lo: float, hi: float) -> float | None:
@@ -152,27 +125,27 @@ def _group_slices(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return order, starts, sk[starts]
 
 
-def marginal_meta(
-    values: np.ndarray, edges: np.ndarray, idx: np.ndarray | None = None
-) -> MarginalMeta:
-    """Per-bin min / max / unique-count of ``values`` along one dimension
-    (Algorithm 1 lines 23 & 26, as length-k vectors). ``idx`` is
-    ``_bin_index(values, edges)`` when the caller already has it.
+def bin_stats(values: np.ndarray, edges: np.ndarray, idx: np.ndarray | None = None) -> Hist1D:
+    """The histogram of ``values`` over ``edges``: per-bin counts, min,
+    max and unique count (Algorithm 1 lines 23 & 26). ``idx`` is
+    ``_bin_index(values, edges)`` when the caller already has it. An
+    empty bin keeps its edges as its extrema and a unique count of 0.
 
-    One sort by (bin, value): a bin's min and max are the ends of its run,
-    and its unique count is the number of places where the bin or the
-    value changes."""
+    A bin index never decreases as the value grows, so sorting the values
+    and the indices each on its own sorts both by (bin, value): a bin's
+    min and max are the ends of its run, and its unique count is the
+    number of places where the bin or the value changes."""
     k = len(edges) - 1
     vmin = edges[:-1].copy()
     vmax = edges[1:].copy()
     uniq = np.zeros(k, dtype=np.int64)
     if len(values) == 0:
-        return MarginalMeta(vmin, vmax, uniq)
+        return Hist1D(edges, np.zeros(k, dtype=np.int64), vmin, vmax, uniq)
     if idx is None:
         idx = _bin_index(values, edges)
-    order = np.lexsort((values, idx))
-    si = idx[order]
-    sv = values[order]
+    counts = np.bincount(idx, minlength=k).astype(np.int64, copy=False)
+    si = np.sort(idx)
+    sv = np.sort(values)
     new_bin = np.empty(len(si), dtype=bool)
     new_bin[0] = True
     np.not_equal(si[1:], si[:-1], out=new_bin[1:])
@@ -183,7 +156,7 @@ def marginal_meta(
     new_value = new_bin.copy()
     new_value[1:] |= sv[1:] != sv[:-1]
     uniq[t] = np.add.reduceat(new_value.astype(np.int64), starts)
-    return MarginalMeta(vmin, vmax, uniq)
+    return Hist1D(edges, counts, vmin, vmax, uniq)
 
 
 def refine_2d(
@@ -251,14 +224,10 @@ def refine_2d(
             ex = np.unique(np.concatenate((ex, np.array(sorted(new_x)))))
         if new_y:
             ey = np.unique(np.concatenate((ey, np.array(sorted(new_y)))))
+    else:  # the last pass added edges: bin by the final ones
+        xi = _bin_index(x, ex)
+        yi = _bin_index(y, ey)
 
-    counts, _, _ = np.histogram2d(x, y, bins=[ex, ey])
-    return Hist2D(
-        i=i,
-        j=j,
-        edges_i=ex,
-        edges_j=ey,
-        counts=counts.astype(np.int64),
-        meta_i=marginal_meta(x, ex),
-        meta_j=marginal_meta(y, ey),
-    )
+    kx, ky = len(ex) - 1, len(ey) - 1
+    counts = np.bincount(xi * ky + yi, minlength=kx * ky).reshape(kx, ky)
+    return Hist2D(i, j, counts, bin_stats(x, ex, xi), bin_stats(y, ey, yi))

@@ -7,7 +7,9 @@ non-zero indices + packed values), whichever is smaller — the
 dense/sparse indicator is one flag byte per histogram. Edges and the
 per-bin metadata (min, max and unique count) are float arrays, each
 stored as float32 when every value is exactly representable in it, else
-as float64 (the paper's ``m`` bytes per value, chosen per array).
+as float64 (the paper's ``m`` bytes per value, chosen per array). A pair
+stores its count matrix ``H`` and each dimension's edges and metadata;
+the dimensions' counts are ``H``'s marginals, rebuilt on load.
 
 ``serialize``/``deserialize`` round-trip a full synopsis exactly;
 ``eq12_bound`` evaluates the paper's storage upper bound for comparison.
@@ -19,7 +21,7 @@ import struct
 
 import numpy as np
 
-from repro.core.model import Hist1D, Hist2D, MarginalMeta, PairwiseHist
+from repro.core.model import Hist1D, Hist2D, PairwiseHist
 
 _MAGIC = b"PWH1"
 
@@ -254,8 +256,8 @@ def _unpack_f64(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
     return arr, offset + width * n
 
 
-def _pack_meta(vmin: np.ndarray, vmax: np.ndarray, uniq: np.ndarray) -> bytes:
-    return _pack_f64(vmin) + _pack_f64(vmax) + _pack_f64(uniq.astype(np.float64))
+def _pack_meta(h: Hist1D) -> bytes:
+    return _pack_f64(h.vmin) + _pack_f64(h.vmax) + _pack_f64(h.uniq.astype(np.float64))
 
 
 def _unpack_meta(buf: bytes, offset: int, k: int):
@@ -271,11 +273,7 @@ def _unpack_meta(buf: bytes, offset: int, k: int):
 
 
 def _pack_hist1d(h: Hist1D) -> bytes:
-    return (
-        _pack_f64(h.edges)
-        + _pack_meta(h.vmin, h.vmax, h.uniq)
-        + _encode_counts(h.counts.astype(np.int64))
-    )
+    return _pack_f64(h.edges) + _pack_meta(h) + _encode_counts(h.counts.astype(np.int64))
 
 
 def _unpack_hist1d(buf: bytes, offset: int) -> tuple[Hist1D, int]:
@@ -286,13 +284,15 @@ def _unpack_hist1d(buf: bytes, offset: int) -> tuple[Hist1D, int]:
 
 
 def _pack_hist2d(h: Hist2D) -> bytes:
-    head = struct.pack("<II", h.i, h.j)
+    """The pair's header, both dimensions' edges, both dimensions'
+    metadata and ``H``; the dimensions' counts are ``H``'s marginals and
+    are not stored."""
     return (
-        head
-        + _pack_f64(h.edges_i)
-        + _pack_f64(h.edges_j)
-        + _pack_meta(h.meta_i.vmin, h.meta_i.vmax, h.meta_i.uniq)
-        + _pack_meta(h.meta_j.vmin, h.meta_j.vmax, h.meta_j.uniq)
+        struct.pack("<II", h.i, h.j)
+        + _pack_f64(h.dim_i.edges)
+        + _pack_f64(h.dim_j.edges)
+        + _pack_meta(h.dim_i)
+        + _pack_meta(h.dim_j)
         + _encode_counts(h.counts.reshape(-1).astype(np.int64))
     )
 
@@ -305,18 +305,10 @@ def _unpack_hist2d(buf: bytes, offset: int) -> tuple[Hist2D, int]:
     vmin_i, vmax_i, uniq_i, offset = _unpack_meta(buf, offset, ki)
     vmin_j, vmax_j, uniq_j, offset = _unpack_meta(buf, offset, kj)
     flat, offset = _decode_counts(buf, offset, ki * kj)
-    return (
-        Hist2D(
-            i,
-            j,
-            ei,
-            ej,
-            flat.reshape(ki, kj),
-            MarginalMeta(vmin_i, vmax_i, uniq_i),
-            MarginalMeta(vmin_j, vmax_j, uniq_j),
-        ),
-        offset,
-    )
+    H = flat.reshape(ki, kj)
+    dim_i = Hist1D(ei, H.sum(axis=1), vmin_i, vmax_i, uniq_i)
+    dim_j = Hist1D(ej, H.sum(axis=0), vmin_j, vmax_j, uniq_j)
+    return Hist2D(i, j, H, dim_i, dim_j), offset
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +370,9 @@ def eq12_bound(ph: PairwiseHist) -> int:
         sum_k = k1[i]  # the 1-d histogram itself
         for (a, b), h2 in ph.hists2d.items():
             if a == i:
-                sum_k += len(h2.edges_i) - 1
+                sum_k += h2.dim_i.k
             elif b == i:
-                sum_k += len(h2.edges_j) - 1
+                sum_k += h2.dim_j.k
         total += (3 * m_i + 4) * max(0, sum_k - (d - 1) * k1[i])
     for h2 in ph.hists2d.values():
         ki, kj = h2.counts.shape

@@ -1,74 +1,73 @@
 """Incremental data updates (Fig. 2 red path).
 
-New rows are appended into the *existing* bin structure: counts are
-re-binned, per-bin extrema widen, and unique counts become upper-bound
-estimates (exact uniques would need the original values). Edges are not
-re-refined — the paper leaves online refinement to future work; this
-mirrors the framework's "data updates" arrow where the synopsis absorbs
-appended batches between rebuilds.
+New rows are appended into the *existing* bin structure: values are
+clipped into the build-time edges and folded into every ``Hist1D`` they
+reach (a column's histogram and each dimension of its pairs) by one
+helper, which adds the counts and widens the per-bin extrema. Unique
+counts become upper-bound estimates (exact uniques would need the
+original values): a column adds the batch's uniques, capped by the
+bin's value range; a pair dimension keeps the larger of the two. Edges
+are not re-refined — the paper leaves online refinement to future work;
+this mirrors the framework's "data updates" arrow where the synopsis
+absorbs appended batches between rebuilds.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 
-from repro.core.model import PairwiseHist
-from repro.core.refine import _bin_index, marginal_meta
+from repro.core.model import Hist1D, PairwiseHist
+from repro.core.refine import _bin_index, bin_stats
 
 
-def _update_1d(hist, v: np.ndarray) -> None:
-    """Fold the non-null values ``v`` of one column into ``hist``."""
-    if len(v) == 0:
-        return
+def _fold(hist: Hist1D, v: np.ndarray) -> tuple[np.ndarray, Hist1D]:
+    """Fold the values ``v`` into ``hist``: clip them into its edges, add
+    their counts and widen the extrema of the bins they reach. Returns
+    their bin indices and their own :func:`bin_stats`, for the caller's
+    pair counts and unique-count rule."""
     v = np.clip(v, hist.edges[0], hist.edges[-1])
     idx = _bin_index(v, hist.edges)
-    add = np.bincount(idx, minlength=len(hist.edges) - 1)
-    touched = add > 0
-    meta = marginal_meta(v, hist.edges, idx)
-    hist.vmin[touched] = np.minimum(hist.vmin[touched], meta.vmin[touched])
-    hist.vmax[touched] = np.maximum(hist.vmax[touched], meta.vmax[touched])
-    # Unique counts: widen by the new batch's uniques (upper bound).
-    hist.uniq[touched] = np.minimum(
-        hist.uniq[touched] + meta.uniq[touched],
-        (hist.vmax[touched] - hist.vmin[touched] + 1).astype(np.int64).clip(min=1),
-    )
-    hist.counts += add
+    new = bin_stats(v, hist.edges, idx)
+    t = new.counts > 0
+    hist.counts += new.counts
+    hist.vmin[t] = np.minimum(hist.vmin[t], new.vmin[t])
+    hist.vmax[t] = np.maximum(hist.vmax[t], new.vmax[t])
+    return idx, new
 
 
 def append_rows(ph: PairwiseHist, batch: pd.DataFrame) -> None:
     """Fold an encoded batch (columns in synopsis order, NaN nulls) into
     ``ph`` in place. The batch is sampled at the synopsis's own ``rho``,
     as construction sampled the table, and both N and N_s grow, so rho
-    stays consistent."""
+    stays consistent. Raises ``ValueError`` when the batch does not have
+    one column per synopsis column."""
+    if len(batch.columns) != ph.d:
+        raise ValueError(f"batch has {len(batch.columns)} columns, the synopsis {ph.d}")
     rho = ph.rho
     n_new = len(batch)
     take = batch
     if rho < 1.0 and n_new > 0:
         take = batch.sample(frac=min(1.0, rho), random_state=0)
-    assert len(batch.columns) == ph.d, "batch schema must match synopsis"
     values = [take[c].to_numpy(dtype="float64") for c in batch.columns]
     null = [np.isnan(v) for v in values]
-    for i, v in enumerate(values):
-        _update_1d(ph.hists1d[i], v[~null[i]])
+    for hist, v, nl in zip(ph.hists1d, values, null):
+        _, new = _fold(hist, v[~nl])
+        # Widen by the batch's uniques, capped by the bin's value range.
+        t = new.counts > 0
+        hist.uniq[t] = np.minimum(
+            hist.uniq[t] + new.uniq[t],
+            (hist.vmax[t] - hist.vmin[t] + 1).astype(np.int64).clip(min=1),
+        )
     for (i, j), h2 in ph.hists2d.items():
         ok = ~(null[i] | null[j])
         if not ok.any():
             continue
-        x = np.clip(values[i][ok], h2.edges_i[0], h2.edges_i[-1])
-        y = np.clip(values[j][ok], h2.edges_j[0], h2.edges_j[-1])
-        xi = _bin_index(x, h2.edges_i)
-        yi = _bin_index(y, h2.edges_j)
+        xi, new_i = _fold(h2.dim_i, values[i][ok])
+        yi, new_j = _fold(h2.dim_j, values[j][ok])
         ki, kj = h2.counts.shape
         h2.counts += np.bincount(xi * kj + yi, minlength=ki * kj).reshape(ki, kj)
-        for meta, vals, edges, idx in (
-            (h2.meta_i, x, h2.edges_i, xi),
-            (h2.meta_j, y, h2.edges_j, yi),
-        ):
-            m = marginal_meta(vals, edges, idx)
-            touched = m.uniq > 0  # the bins this batch reaches
-            meta.vmin[touched] = np.minimum(meta.vmin[touched], m.vmin[touched])
-            meta.vmax[touched] = np.maximum(meta.vmax[touched], m.vmax[touched])
-            meta.uniq[touched] = np.maximum(meta.uniq[touched], m.uniq[touched])
+        np.maximum(h2.dim_i.uniq, new_i.uniq, out=h2.dim_i.uniq)
+        np.maximum(h2.dim_j.uniq, new_j.uniq, out=h2.dim_j.uniq)
     ph.n_rows += n_new
     ph.n_sample += len(take)
     ph.derived.clear()  # the query-time state was derived from the old counts

@@ -34,20 +34,18 @@ class _PairState(NamedTuple):
 
     Hf: np.ndarray  # H as float64, aggregation column on the rows
     fmap: np.ndarray  # coarse 1-d bin of each fine aggregation bin
-    pred_view: Hist1D
+    pred: Hist1D  # the pair's predicate dimension
 
 
 def _pair_state(ph: PairwiseHist, agg: int, pred: int) -> _PairState:
     key = (agg, pred)
     st = ph.derived.get(key)
     if st is None:
-        pair = ph.pair(agg, pred)
-        H, e_agg, _, _, _ = pair.oriented(agg)
-        view = pair.pred_view(pred)
-        Hf, fmap, _ = read_only(
-            H.astype(np.float64), map_fine_to_coarse(e_agg, ph.hists1d[agg].edges), view.counts
+        H, dim_agg, dim_pred = ph.pair(agg, pred).oriented(agg)
+        Hf, fmap = read_only(
+            H.astype(np.float64), map_fine_to_coarse(dim_agg.edges, ph.hists1d[agg].edges)
         )
-        st = ph.derived[key] = _PairState(Hf, fmap, view)
+        st = ph.derived[key] = _PairState(Hf, fmap, dim_pred)
     return st
 
 
@@ -60,7 +58,7 @@ def _prob_from_region(
     if j == agg:
         return cov.region_coverage(region, col.hist, M, alpha)
     st = _pair_state(ph, agg, j)
-    c = cov.region_coverage(region, st.pred_view, M, alpha)
+    c = cov.region_coverage(region, st.pred, M, alpha)
     k = len(col.h)
 
     def to_probs(beta: np.ndarray) -> np.ndarray:

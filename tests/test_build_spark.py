@@ -47,7 +47,7 @@ class TestLineitemBuild:
         for (i, j), h2 in ph.hists2d.items():
             for axis, col in ((1, i), (0, j)):
                 marg = h2.counts.sum(axis=axis)
-                fine = h2.edges_i if axis == 1 else h2.edges_j
+                fine = (h2.dim_i if axis == 1 else h2.dim_j).edges
                 fmap = map_fine_to_coarse(fine, ph.hists1d[col].edges)
                 agg = np.bincount(fmap, weights=marg, minlength=ph.hists1d[col].k)
                 np.testing.assert_allclose(agg, ph.hists1d[col].counts)

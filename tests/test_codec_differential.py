@@ -1,7 +1,8 @@
 """Differential tests of the whole-array write-path kernels: the Golomb
-encoder and decoder of Sec. 4.3 and the per-bin metadata of Algorithm 1
-must give exactly what the per-value and per-bin loops kept below as the
-reference give."""
+encoder and decoder of Sec. 4.3, the per-bin counts and metadata of
+Algorithm 1 (``refine.bin_stats``), the edges-only 1-d refinement and the
+2-d count grid must give exactly what the per-value and per-bin loops
+kept below as the reference give."""
 import math
 
 import numpy as np
@@ -10,8 +11,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import storage
-from repro.core.model import MarginalMeta
-from repro.core.refine import _bin_index, _group_slices, marginal_meta
+from repro.core.hypothesis import is_uniform
+from repro.core.model import Hist1D
+from repro.core.refine import (
+    MAX_BINS_1D,
+    _bin_index,
+    _group_slices,
+    _split_point,
+    bin_stats,
+    refine_1d,
+    refine_2d,
+)
 from repro.core.storage import (
     BitReader,
     BitWriter,
@@ -44,24 +54,83 @@ def reference_golomb_decode(reader: BitReader, n: int, m: int) -> np.ndarray:
     return out
 
 
-def reference_marginal_meta(values: np.ndarray, edges: np.ndarray) -> MarginalMeta:
-    """One ``min``/``max``/``np.unique`` per occupied bin."""
+def reference_marginal_meta(values: np.ndarray, edges: np.ndarray) -> Hist1D:
+    """One ``len``/``min``/``max``/``np.unique`` per occupied bin."""
     k = len(edges) - 1
+    counts = np.zeros(k, dtype=np.int64)
     vmin = edges[:-1].copy()
     vmax = edges[1:].copy()
     uniq = np.zeros(k, dtype=np.int64)
     if len(values) == 0:
-        return MarginalMeta(vmin, vmax, uniq)
+        return Hist1D(edges, counts, vmin, vmax, uniq)
     idx = _bin_index(values, edges)
     order, starts, gkeys = _group_slices(idx)
     sv = values[order]
     bounds = np.concatenate((starts, [len(sv)]))
     for g, t in enumerate(gkeys):
         seg = sv[bounds[g] : bounds[g + 1]]
+        counts[t] = len(seg)
         vmin[t] = seg.min()
         vmax[t] = seg.max()
         uniq[t] = len(np.unique(seg))
-    return MarginalMeta(vmin, vmax, uniq)
+    return Hist1D(edges, counts, vmin, vmax, uniq)
+
+
+def _reference_refine_1d_rec(x, e_lo, e_hi, M, alpha, out) -> None:
+    """Algorithm 2, emitting each leaf bin's upper edge and metadata as
+    it goes."""
+
+    def emit(vmin, vmax, uniq):
+        out["edges"].append(e_hi)
+        out["vmin"].append(vmin)
+        out["vmax"].append(vmax)
+        out["uniq"].append(uniq)
+
+    if len(x) == 0:
+        return emit(e_lo, e_hi, 0)
+    uvals = np.unique(x)
+    nu = len(uvals)
+    if nu == 1:
+        return emit(uvals[0], uvals[0], 1)
+    at_cap = len(out["edges"]) >= out["max_bins"]
+    if len(x) < M or at_cap or is_uniform(x, e_lo, e_hi, nu, alpha).uniform:
+        return emit(uvals[0], uvals[-1], nu)
+    z = _split_point(x, e_lo, e_hi)
+    if z is None:
+        return emit(uvals[0], uvals[-1], nu)
+    left = x < z
+    _reference_refine_1d_rec(x[left], e_lo, z, M, alpha, out)
+    _reference_refine_1d_rec(x[~left], z, e_hi, M, alpha, out)
+
+
+def reference_refine_1d(values, initial_edges, M, alpha, max_bins=MAX_BINS_1D) -> Hist1D:
+    """The bin-by-bin emitter: metadata per leaf, counts from
+    ``np.histogram``."""
+    x = np.asarray(values, dtype=np.float64)
+    x = x[~np.isnan(x)]
+    edges0 = np.asarray(initial_edges, dtype=np.float64)
+    out = {"edges": [], "vmin": [], "vmax": [], "uniq": [], "max_bins": max_bins}
+    last = len(edges0) - 2
+    for t in range(len(edges0) - 1):
+        lo, hi = edges0[t], edges0[t + 1]
+        mask = (x >= lo) & ((x <= hi) if t == last else (x < hi))
+        _reference_refine_1d_rec(x[mask], lo, hi, M, alpha, out)
+    edges = np.concatenate(([edges0[0]], np.asarray(out["edges"])))
+    counts, _ = np.histogram(x, bins=edges)
+    return Hist1D(
+        edges,
+        counts.astype(np.int64),
+        np.asarray(out["vmin"], dtype=np.float64),
+        np.asarray(out["vmax"], dtype=np.float64),
+        np.asarray(out["uniq"], dtype=np.int64),
+    )
+
+
+def assert_hist_equal(got: Hist1D, want: Hist1D) -> None:
+    for name in ("edges", "counts", "vmin", "vmax", "uniq"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert np.array_equal(g, w), name
+        assert g.dtype == w.dtype, name
 
 
 # m covers 1 (no remainder bits), powers of two and their neighbours, and
@@ -176,11 +245,53 @@ class TestMarginalMeta:
     def test_matches_the_per_bin_loop(self, case):
         values, edges = case
         want = reference_marginal_meta(values, edges)
-        for got in (
-            marginal_meta(values, edges),
-            marginal_meta(values, edges, _bin_index(values, edges)),
-        ):
-            assert np.array_equal(got.vmin, want.vmin)
-            assert np.array_equal(got.vmax, want.vmax)
-            assert np.array_equal(got.uniq, want.uniq)
-            assert got.uniq.dtype == want.uniq.dtype
+        assert_hist_equal(bin_stats(values, edges), want)
+        assert_hist_equal(bin_stats(values, edges, _bin_index(values, edges)), want)
+
+
+@st.composite
+def refine_cases(draw) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Integer-valued columns over a few initial bins, with runs of one
+    value, values on the top edge, NaNs and values outside the edges."""
+    lo = draw(st.integers(-5, 5))
+    hi = lo + draw(st.integers(1, 40))
+    inner = draw(st.lists(st.integers(lo + 1, hi - 1), max_size=3)) if hi - lo > 1 else []
+    edges0 = np.unique(np.array([lo, *inner, hi], dtype=np.float64))
+    pool = st.one_of(
+        st.integers(lo, hi).map(float),
+        st.sampled_from([float(hi), float(hi - 1)]),
+        st.sampled_from([float("nan"), lo - 3.0, hi + 3.0]),
+    )
+    values = np.array(draw(st.lists(pool, max_size=300)), dtype=np.float64)
+    M = draw(st.sampled_from([1, 2, 4, 8, 20]))
+    max_bins = draw(st.sampled_from([2, 5, MAX_BINS_1D]))
+    return values, edges0, M, max_bins
+
+
+class TestRefine:
+    @given(refine_cases(), st.sampled_from([0.001, 0.05, 0.5]))
+    @example((np.array([9.0] * 30 + [10.0] * 30), np.array([0.0, 10.0]), 8, MAX_BINS_1D), 0.001)
+    @settings(max_examples=400, deadline=None)
+    def test_1d_matches_the_bin_by_bin_emitter(self, case, alpha):
+        values, edges0, M, max_bins = case
+        got = refine_1d(values, edges0, M, alpha, max_bins)
+        assert_hist_equal(got, reference_refine_1d(values, edges0, M, alpha, max_bins))
+        assert np.all(np.diff(got.edges) > 0)
+
+    @given(refine_cases(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_2d_counts_match_histogram2d(self, case, data):
+        xs, ex, M, _ = case
+        n = len(xs)
+        ys = np.array(
+            data.draw(st.lists(st.integers(0, 30).map(float), min_size=n, max_size=n)),
+            dtype=np.float64,
+        )
+        # Pairs see the column values their 1-d edges cover.
+        xs = np.where(np.isnan(xs), xs, np.clip(xs, ex[0], ex[-1]))
+        h2 = refine_2d(xs, ys, ex, np.array([0.0, 30.0]), 0, 1, M, 0.05)
+        ok = ~np.isnan(xs)
+        want, _, _ = np.histogram2d(xs[ok], ys[ok], bins=[h2.dim_i.edges, h2.dim_j.edges])
+        assert np.array_equal(h2.counts, want.astype(np.int64))
+        assert_hist_equal(h2.dim_i, reference_marginal_meta(xs[ok], h2.dim_i.edges))
+        assert_hist_equal(h2.dim_j, reference_marginal_meta(ys[ok], h2.dim_j.edges))

@@ -97,26 +97,25 @@ class TestPairwiseHist:
 
     def test_oriented_transpose(self, toy_ph):
         h2 = toy_ph.pair(0, 1)
-        H_i, e_i, e_j, _, _ = h2.oriented(0)
-        H_j, e_jj, e_ii, _, _ = h2.oriented(1)
+        H_i, d_i, d_j = h2.oriented(0)
+        H_j, d_jj, d_ii = h2.oriented(1)
         np.testing.assert_array_equal(H_i, H_j.T)
-        np.testing.assert_array_equal(e_i, e_ii)
-        np.testing.assert_array_equal(e_j, e_jj)
+        assert d_i is d_ii is h2.dim_i and d_j is d_jj is h2.dim_j
         with pytest.raises(KeyError):
             h2.oriented(2)
 
     def test_2d_edges_superset_of_1d(self, toy_ph):
         for (i, j), h2 in toy_ph.hists2d.items():
             for e in toy_ph.hists1d[i].edges:
-                assert np.any(np.isclose(h2.edges_i, e))
+                assert np.any(np.isclose(h2.dim_i.edges, e))
             for e in toy_ph.hists1d[j].edges:
-                assert np.any(np.isclose(h2.edges_j, e))
+                assert np.any(np.isclose(h2.dim_j.edges, e))
 
     def test_counts_consistent_between_1d_and_2d(self, toy_pdf, toy_ph):
         # no nulls in toy data => 2-d marginals equal 1-d counts aggregated
         h2 = toy_ph.pair(0, 1)
         marg = h2.counts.sum(axis=1)
-        fmap = map_fine_to_coarse(h2.edges_i, toy_ph.hists1d[0].edges)
+        fmap = map_fine_to_coarse(h2.dim_i.edges, toy_ph.hists1d[0].edges)
         agg = np.bincount(fmap, weights=marg, minlength=toy_ph.hists1d[0].k)
         np.testing.assert_allclose(agg, toy_ph.hists1d[0].counts)
 

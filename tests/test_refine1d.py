@@ -1,7 +1,7 @@
 """Tests for RefineBin1D (Algorithm 2) invariants and behaviour."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.refine import prepare_initial_edges, refine_1d
@@ -119,6 +119,46 @@ def test_property_invariants(seed, n, m):
     lo, hi = float(x.min()), float(max(x.max(), x.min() + 1))
     h = refine_1d(x, np.array([lo, hi]), M=m, alpha=0.001)
     _check_invariants(h, x)
+
+
+@given(
+    # Values crowded towards the top edge 12 as often as spread out.
+    st.integers(0, 11).flatmap(
+        lambda lo: st.lists(st.integers(lo, 12).map(float), min_size=1, max_size=200)
+    ),
+    st.lists(st.integers(1, 11).map(float), max_size=3),
+    st.sampled_from([2, 4, 8, 40]),
+)
+@example([11.0] * 20 + [12.0] * 20, [], 8)
+@settings(max_examples=200, deadline=None)
+def test_property_edges_strictly_increasing(xs, inner, m):
+    """Also when every value of a bin lies above its midpoint and the
+    largest sits on the top edge."""
+    e0 = np.unique([0.0, *inner, 12.0])
+    h = refine_1d(np.array(xs), e0, M=m, alpha=0.05)
+    assert np.all(np.diff(h.edges) > 0)
+    _check_invariants(h, np.array(xs))
+
+
+def test_top_edge_split_keeps_rows_of_predicates_on_other_columns():
+    """A last bin holding only 9s and 10s is split between them, not at
+    the top edge 10. A split there would make a zero-width bin [10, 10]
+    that no fine bin of the pair histograms maps to, and a predicate on
+    the other column would drop that bin's rows: 5,242 of 6,000 counted."""
+    import pandas as pd
+
+    from repro.core.build import build_local
+    from repro.core.coverage import Leaf
+    from repro.core.weighting import weights
+
+    rng = np.random.default_rng(0)
+    n = 6000
+    x = rng.choice([0, 1, 2, 3, 4, 5, 9, 10], n).astype(float)
+    y = np.where(x < 3, rng.integers(0, 50, n), rng.integers(50, 100, n)).astype(float)
+    ph = build_local(pd.DataFrame({"x": x, "y": y}), M=40, seeds={"x": np.array([6.0])})
+    assert np.all(np.diff(ph.hists1d[0].edges) > 0)
+    w = weights(ph, 0, Leaf(1, ((0.0, np.inf),)))
+    assert w.est.sum() == w.lo.sum() == w.hi.sum() == n
 
 
 class TestPrepareInitialEdges:

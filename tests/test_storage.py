@@ -106,10 +106,12 @@ class TestSynopsisRoundtrip:
         for key, p1 in toy_ph.hists2d.items():
             p2 = ph2.hists2d[key]
             np.testing.assert_array_equal(p1.counts, p2.counts)
-            np.testing.assert_allclose(p1.edges_i, p2.edges_i)
-            np.testing.assert_allclose(p1.edges_j, p2.edges_j)
-            np.testing.assert_allclose(p1.meta_i.vmin, p2.meta_i.vmin)
-            np.testing.assert_array_equal(p1.meta_j.uniq, p2.meta_j.uniq)
+            for d1, d2 in ((p1.dim_i, p2.dim_i), (p1.dim_j, p2.dim_j)):
+                np.testing.assert_array_equal(d1.edges, d2.edges)
+                np.testing.assert_array_equal(d1.counts, d2.counts)
+                np.testing.assert_array_equal(d1.vmin, d2.vmin)
+                np.testing.assert_array_equal(d1.vmax, d2.vmax)
+                np.testing.assert_array_equal(d1.uniq, d2.uniq)
 
     def test_deserialized_answers_identically(self, toy_ph, toy_infos):
         from repro.core.engine import PHEngine
@@ -202,7 +204,7 @@ class TestCorruptSynopsis:
         with pytest.raises(CorruptSynopsis, match="pair"):
             deserialize(bad)
 
-    @pytest.mark.parametrize("where", ["hist1d.vmin", "hist1d.uniq", "meta_i.vmax", "meta_j.uniq"])
+    @pytest.mark.parametrize("where", ["hist1d.vmin", "hist1d.uniq", "dim_i.vmax", "dim_j.uniq"])
     def test_metadata_length_mismatch_rejected(self, three_columns, where):
         ph = copy.deepcopy(three_columns)
         owner, field = where.split(".")

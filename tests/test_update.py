@@ -4,6 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.core.build import build_local
+from repro.core.storage import deserialize, serialize
 from repro.core.update import append_rows
 
 
@@ -89,5 +90,33 @@ def test_nan_rows_ignored_in_pairs():
 
 def test_schema_mismatch_rejected():
     ph = build_local(_mk(1000, 7))
-    with pytest.raises(AssertionError):
+    blob = serialize(ph)
+    with pytest.raises(ValueError, match="columns"):
         append_rows(ph, pd.DataFrame({"x": [1.0]}))
+    assert serialize(ph) == blob  # rejected before anything is folded in
+
+
+def assert_pair_invariants(ph):
+    """Each pair dimension counts ``H``'s marginal and refines its
+    column's 1-d edges."""
+    for (i, j), h2 in ph.hists2d.items():
+        np.testing.assert_array_equal(h2.dim_i.counts, h2.counts.sum(axis=1))
+        np.testing.assert_array_equal(h2.dim_j.counts, h2.counts.sum(axis=0))
+        for dim, col in ((h2.dim_i, i), (h2.dim_j, j)):
+            assert np.isin(ph.hists1d[col].edges, dim.edges).all(), (i, j, col)
+
+
+def test_pair_invariants_hold_through_roundtrip_and_appends():
+    base = _mk(4000, 8)
+    base.loc[::5, "x"] = np.nan
+    base["z"] = np.round(base["y"] / 7)
+    ph = build_local(base, n_rows=8000)
+    assert_pair_invariants(ph)
+    ph = deserialize(serialize(ph))
+    assert_pair_invariants(ph)
+    for t in range(4):
+        batch = _mk(700, 20 + t, shift=300.0 * (t % 2))  # odd batches pass the top edge
+        batch.loc[::3, "y"] = np.nan
+        batch["z"] = np.round(batch["y"] / 7) - 40 * t
+        append_rows(ph, batch)
+        assert_pair_invariants(ph)
