@@ -7,7 +7,7 @@ from repro.baselines.dbest_lite import DBEstLite
 from repro.baselines.deepdb_lite import DeepDBLite
 from repro.core.build import GD_SAMPLE_ROWS, build_synopsis
 from repro.datasets import gen_flights
-from repro.gd.preprocess import encode_pandas, profile
+from repro.gd.preprocess import encode_pandas, scan
 
 NS = 10_000
 
@@ -61,7 +61,7 @@ def test_gd_plan_selection_wide(benchmark, spark):
     from repro.gd import greedygd
 
     pdf = gen_flights(GD_SAMPLE_ROWS)
-    infos = profile(spark.createDataFrame(pdf))
+    infos = scan(spark.createDataFrame(pdf))[0]
     enc = encode_pandas(pdf, infos)
     plan = benchmark.pedantic(lambda: greedygd.choose_plan(enc, infos), rounds=3, iterations=1)
     assert len(plan.columns) == 32

@@ -25,7 +25,7 @@ import pandas as pd
 from repro.baselines import Unsupported, conjunction
 from repro.core import coverage as cov
 from repro.gd.preprocess import ColumnInfo
-from repro.queries import Query, QueryError, node_columns
+from repro.queries import NO_ANSWER, AQPResult, Query, QueryError, node_columns
 from repro.stats import norm_cdf
 
 
@@ -257,9 +257,7 @@ class DBEstLite:
         except Unsupported:
             return False
 
-    def execute(self, q: Query):
-        from repro.core.engine import AQPResult
-
+    def execute(self, q: Query) -> AQPResult:
         if q.func not in self.SUPPORTED:
             raise Unsupported(f"DBEst++-lite does not answer {q.func!r}")
         if q.group_by is not None:
@@ -268,7 +266,6 @@ class DBEstLite:
             raise QueryError(f"unknown column {q.col!r}")
         pred_col, region = self._pred_region(q)
         tpl = self.train_template(q.col, pred_col)
-        info = self.by_name[q.col]
         p = tpl.density.prob_region(region)
         if q.func == "COUNT":
             # COUNT(agg col) ignores agg-col nulls; approximate with the
@@ -276,7 +273,7 @@ class DBEstLite:
             nn = float(self.sample[q.col].notna().mean())
             return AQPResult(self.n_rows * p * nn, None, None)
         if p <= 0:
-            return AQPResult(None, None, None)
+            return NO_ANSWER
         # grid integration of p(x) * E[y|x] over the region
         xs, weights = [], []
         for a, b in region:
@@ -288,13 +285,13 @@ class DBEstLite:
             xs.append(g)
             weights.append(np.full(len(g), (hi - lo + 1e-9) / len(g)))
         if not xs:
-            return AQPResult(None, None, None)
+            return NO_ANSWER
         xs = np.concatenate(xs)
         wts = np.concatenate(weights)
         px = tpl.density.pdf(xs) * wts
         mass = px.sum()
         if mass <= 0:
-            return AQPResult(None, None, None)
+            return NO_ANSWER
         if tpl.reg is None:
             m1 = float((px * xs).sum() / mass)
             m2 = float((px * xs**2).sum() / mass)
@@ -302,11 +299,6 @@ class DBEstLite:
             e1, e2 = tpl.reg.predict_moments(xs)
             m1 = float((px * e1).sum() / mass)
             m2 = float((px * e2).sum() / mass)
-        s, mv = info.scale, info.minval
-        if q.func == "AVG":
-            return AQPResult(m1 / s + mv, None, None)
-        if q.func == "SUM":
-            return AQPResult(self.n_rows * p * (m1 / s + mv), None, None)
-        # VAR
-        var_enc = max(m2 - m1 * m1, 0.0)
-        return AQPResult(var_enc / s**2, None, None)
+        est = {"AVG": m1, "SUM": self.n_rows * p * m1, "VAR": max(m2 - m1 * m1, 0.0)}[q.func]
+        count = AQPResult(self.n_rows * p, None, None)
+        return self.by_name[q.col].decode(q.func, AQPResult(est, None, None), count)

@@ -22,7 +22,7 @@ import pandas as pd
 from repro.baselines import Unsupported, conjunction
 from repro.core import coverage as cov
 from repro.gd.preprocess import ColumnInfo
-from repro.queries import Node, Query, QueryError
+from repro.queries import NO_ANSWER, AQPResult, Node, Query, QueryError
 from repro.stats import Z_99
 
 
@@ -280,9 +280,7 @@ class DeepDBLite:
         except Unsupported:
             return False
 
-    def execute(self, q: Query):
-        from repro.core.engine import AQPResult
-
+    def execute(self, q: Query) -> AQPResult:
         if q.func not in self.SUPPORTED:
             raise Unsupported(q.func)
         if q.group_by is not None:
@@ -294,33 +292,27 @@ class DeepDBLite:
         # The aggregation column must be non-null (COUNT(col) semantics).
         regions.setdefault(agg, cov.FULL)
         p = _prob(self.root, regions)
-        info = self.by_name[q.col]
         se_p = np.sqrt(max(p * (1 - p), 0.0) / self.n_train)
+        count = AQPResult(
+            self.n_rows * p,
+            max(0.0, self.n_rows * (p - Z_99 * se_p)),
+            self.n_rows * (p + Z_99 * se_p),
+        )
         if q.func == "COUNT":
-            est = self.n_rows * p
-            return AQPResult(
-                est,
-                max(0.0, self.n_rows * (p - Z_99 * se_p)),
-                self.n_rows * (p + Z_99 * se_p),
-            )
+            return count
         m1, m2 = _moments(self.root, agg, regions)
         se_m = np.sqrt(max(m2 - m1 * m1, 0.0) / self.n_train)
         if q.func == "SUM":
-            est = self.n_rows * m1
-            lo = self.n_rows * (m1 - Z_99 * se_m)
-            hi = self.n_rows * (m1 + Z_99 * se_m)
-            dec = lambda v, c: v / info.scale + info.minval * c  # noqa: E731
-            cnt = self.n_rows * p
-            cnt_lo = max(0.0, self.n_rows * (p - Z_99 * se_p))
-            cnt_hi = self.n_rows * (p + Z_99 * se_p)
-            if info.minval >= 0:
-                return AQPResult(dec(est, cnt), dec(lo, cnt_lo), dec(hi, cnt_hi))
-            return AQPResult(dec(est, cnt), dec(lo, cnt_hi), dec(hi, cnt_lo))
-        # AVG
-        if p <= 0:
-            return AQPResult(None, None, None)
-        est = m1 / p
-        lo = (m1 - Z_99 * se_m) / max(p + Z_99 * se_p, 1e-12)
-        hi = (m1 + Z_99 * se_m) / max(p - Z_99 * se_p, 1e-12)
-        dec1 = lambda v: v / info.scale + info.minval  # noqa: E731
-        return AQPResult(dec1(est), dec1(min(lo, est)), dec1(max(hi, est)))
+            r = AQPResult(
+                self.n_rows * m1,
+                self.n_rows * (m1 - Z_99 * se_m),
+                self.n_rows * (m1 + Z_99 * se_m),
+            )
+        else:  # AVG
+            if p <= 0:
+                return NO_ANSWER
+            est = m1 / p
+            lo = (m1 - Z_99 * se_m) / max(p + Z_99 * se_p, 1e-12)
+            hi = (m1 + Z_99 * se_m) / max(p - Z_99 * se_p, 1e-12)
+            r = AQPResult(est, min(lo, est), max(hi, est))
+        return self.by_name[q.col].decode(q.func, r, count)

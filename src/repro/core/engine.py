@@ -8,34 +8,12 @@ and maps estimates and bounds back to the original domain.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core import aggregate as agg
 from repro.core import coverage as cov
 from repro.core import weighting as wt
 from repro.core.model import PairwiseHist
 from repro.gd.preprocess import ColumnInfo
-from repro.queries import FUNCS, Cond, Query, QueryError
-
-
-@dataclass
-class AQPResult:
-    est: float | None
-    lo: float | None
-    hi: float | None
-
-    def contains(self, truth: float) -> bool:
-        return (
-            self.lo is not None
-            and self.hi is not None
-            and self.lo - 1e-9 <= truth <= self.hi + 1e-9
-        )
-
-    @property
-    def width(self) -> float | None:
-        if self.lo is None or self.hi is None:
-            return None
-        return self.hi - self.lo
+from repro.queries import FUNCS, AQPResult, Cond, Query, QueryError
 
 
 class PHEngine:
@@ -56,29 +34,6 @@ class PHEngine:
             return self.col_idx[name]
         except KeyError:
             raise QueryError(f"unknown column {name!r}") from None
-
-    # -- decoding ---------------------------------------------------------
-    def _decode(self, q: Query, e: agg.Estimate, count: agg.Estimate | None) -> AQPResult:
-        if e.est is None:
-            return AQPResult(None, None, None)
-        info = self.by_name[q.col]
-        s, m = info.scale, info.minval
-        if q.func == "COUNT":
-            return AQPResult(e.est, e.lo, e.hi)
-        if q.func == "SUM":
-            # SUM_orig = SUM_enc / scale + minval * COUNT (sign-aware bounds)
-            est = e.est / s + m * count.est
-            if m >= 0:
-                lo = e.lo / s + m * count.lo
-                hi = e.hi / s + m * count.hi
-            else:
-                lo = e.lo / s + m * count.hi
-                hi = e.hi / s + m * count.lo
-            return AQPResult(est, min(lo, est), max(hi, est))
-        if q.func == "VAR":
-            return AQPResult(e.est / s**2, e.lo / s**2, e.hi / s**2)
-        # AVG / MIN / MAX / MEDIAN: monotone per-value decode.
-        return AQPResult(e.est / s + m, e.lo / s + m, e.hi / s + m)
 
     # -- execution --------------------------------------------------------
     def execute(self, q: Query) -> AQPResult:
@@ -116,13 +71,12 @@ class PHEngine:
         else:
             ws = wt.grouped_weights(ph, agg_idx, plan, *group)
             single = single and group[0] == agg_idx
-        hist = ph.hists1d[agg_idx]
-        centres = ph.column_state(agg_idx).centres
-        kw = dict(rho=ph.rho, M=ph.M, alpha=ph.alpha, single_column=single, centres=centres)
+        col, info = ph.column_state(agg_idx), self.infos[agg_idx]
+        kw = dict(rho=ph.rho, M=ph.M, single_column=single)
         out = []
         for w in ws:
-            est = agg.aggregate(q.func, w, hist, **kw)
+            r = agg.aggregate(q.func, w, col, **kw)
             # Only SUM's decoding reads COUNT (the minval offset).
-            count = agg.aggregate("COUNT", w, hist, **kw) if q.func == "SUM" else None
-            out.append(self._decode(q, est, count))
+            count = agg.aggregate("COUNT", w, col, **kw) if q.func == "SUM" else None
+            out.append(info.decode(q.func, r, count))
         return out

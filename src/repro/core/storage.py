@@ -59,21 +59,11 @@ class BitWriter:
         bits = np.unpackbits(v.view(np.uint8).reshape(-1, 8), axis=1)[:, 64 - width :]
         self._bits.append(bits.reshape(-1))
 
-    def write_unary(self, q: int) -> None:
-        """q ones followed by a zero (Golomb quotient)."""
-        arr = np.ones(q + 1, dtype=np.uint8)
-        arr[-1] = 0
-        self._bits.append(arr)
-
     def getvalue(self) -> bytes:
         if not self._bits:
             return b""
         allbits = np.concatenate(self._bits)
         return np.packbits(allbits).tobytes()
-
-    @property
-    def n_bits(self) -> int:
-        return sum(len(b) for b in self._bits)
 
 
 class BitReader:
@@ -91,14 +81,6 @@ class BitReader:
         self.pos += need
         shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
         return (chunk.astype(np.uint64) << shifts[None, :]).sum(axis=1).astype(np.int64)
-
-    def read_unary(self) -> int:
-        q = 0
-        while self.bits[self.pos] == 1:
-            q += 1
-            self.pos += 1
-        self.pos += 1
-        return q
 
 
 def golomb_parameter(values: np.ndarray) -> int:

@@ -19,16 +19,14 @@ from repro.core.build import build_synopsis
 from repro.core.engine import PHEngine
 from repro.gd.preprocess import encode_pandas
 from repro.ground_truth import ExactEngine
-from repro.queries import Query
+from repro.queries import AQPResult, Query
 
 
 @dataclass
 class QueryOutcome:
     query: Query
     truth: float | None
-    est: float | None
-    lo: float | None
-    hi: float | None
+    result: AQPResult
     latency_s: float
 
     @property
@@ -36,21 +34,10 @@ class QueryOutcome:
         """Relative error in %, None when undefined (truth 0/None or no
         estimate — unanswerable queries are excluded from medians, as the
         paper's minimum-selectivity filter effectively does)."""
-        if self.truth is None or self.est is None or self.truth == 0:
+        est = self.result.est
+        if self.truth is None or est is None or self.truth == 0:
             return None
-        return abs(self.est - self.truth) / abs(self.truth) * 100.0
-
-    @property
-    def bound_correct(self) -> bool | None:
-        if self.lo is None or self.hi is None or self.truth is None:
-            return None
-        return self.lo - 1e-9 <= self.truth <= self.hi + 1e-9
-
-    @property
-    def bound_width_pct(self) -> float | None:
-        if self.lo is None or self.hi is None or not self.truth:
-            return None
-        return (self.hi - self.lo) / abs(self.truth) * 100.0
+        return abs(est - self.truth) / abs(self.truth) * 100.0
 
 
 @dataclass
@@ -75,11 +62,21 @@ class EngineReport:
         return float(np.median(lats)) * 1000.0 if lats else None
 
     def bounds_correct_rate(self) -> float | None:
-        flags = [o.bound_correct for o in self.outcomes if o.bound_correct is not None]
+        """% of the answers with bounds and a truth whose bounds hold it."""
+        flags = [
+            o.result.contains(o.truth)
+            for o in self.outcomes
+            if o.truth is not None and o.result.width is not None
+        ]
         return 100.0 * float(np.mean(flags)) if flags else None
 
     def median_bound_width(self) -> float | None:
-        ws = [o.bound_width_pct for o in self.outcomes if o.bound_width_pct is not None]
+        """Median bound width in % of a non-zero truth."""
+        ws = [
+            o.result.width / abs(o.truth) * 100.0
+            for o in self.outcomes
+            if o.truth and o.result.width is not None
+        ]
         return float(np.median(ws)) if ws else None
 
     def error_cdf_point(self, pct: float = 10.0) -> float | None:
@@ -116,7 +113,7 @@ def run_pairwisehist(
         t0 = time.perf_counter()
         r = engine.execute(q)
         dt = time.perf_counter() - t0
-        rep.outcomes.append(QueryOutcome(q, truths[qi], r.est, r.lo, r.hi, dt))
+        rep.outcomes.append(QueryOutcome(q, truths[qi], r, dt))
     return rep, built
 
 
@@ -144,7 +141,7 @@ def run_deepdb(
         t0 = time.perf_counter()
         r = model.execute(q)
         dt = time.perf_counter() - t0
-        rep.outcomes.append(QueryOutcome(q, truths[qi], r.est, r.lo, r.hi, dt))
+        rep.outcomes.append(QueryOutcome(q, truths[qi], r, dt))
     return rep
 
 
@@ -179,7 +176,7 @@ def run_dbest(
         t0 = time.perf_counter()
         r = model.execute(q)
         dt = time.perf_counter() - t0
-        rep.outcomes.append(QueryOutcome(q, truths[qi], r.est, r.lo, r.hi, dt))
+        rep.outcomes.append(QueryOutcome(q, truths[qi], r, dt))
     rep.build_seconds = model.train_seconds
     rep.size_bytes = model.size_bytes
     return rep

@@ -24,6 +24,7 @@ same way, so the encoded range does not depend on the session time zone.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -32,6 +33,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import types as T
+
+from repro.queries import AQPResult
 
 #: maximum decimal places checked during float→int conversion.
 _MAX_DECIMALS = 6
@@ -70,7 +73,10 @@ class ColumnInfo:
         """Map a query literal to the encoded domain (Sec. 5.1). Returns
         None for a category never seen (the predicate matches nothing).
         Numeric literals keep their fractional part so strict/non-strict
-        comparisons on off-grid values stay meaningful."""
+        comparisons on off-grid values stay meaningful; a float literal
+        within rounding error of the grid snaps to it, as the column's own
+        values did when they were encoded (2.01 at scale 100 is 201, not
+        200.99999999999997)."""
         if v is None:
             return None
         if self.kind == "cat":
@@ -79,21 +85,34 @@ class ColumnInfo:
             return float(bool(v))
         if self.kind == "datetime":
             v = pd.Timestamp(v).value / 1e9
-        return (float(v) - self.minval) * self.scale
+        x = (float(v) - self.minval) * self.scale
+        if self.kind == "float" and math.isfinite(x):
+            r = float(round(x))
+            err = abs(x - r)
+            if err <= 1e-9 or err <= 1e-9 * abs(x):  # 1e-9·max(1, |x|)
+                return r
+        return x
 
-    def decode_value(self, e: float):
-        """Inverse of :meth:`encode_literal` for numeric-like results."""
-        if e is None or (isinstance(e, float) and np.isnan(e)):
-            return None
-        if self.kind == "cat":
-            idx = int(round(e))
-            return self.categories[idx] if 0 <= idx < len(self.categories) else None
-        v = e / self.scale + self.minval
-        if self.kind == "datetime":
-            return pd.Timestamp(v, unit="s")
-        if self.kind in ("int", "bool"):
-            return float(round(v))
-        return v
+    def decode(self, func: str, r: AQPResult, count: AQPResult | None = None) -> AQPResult:
+        """Map the answer ``r`` of ``func`` over this column back from the
+        encoded domain (Sec. 5.1): COUNT as it is, VAR divided by
+        ``scale²``, SUM as ``SUM/scale + minval·COUNT`` with the query's
+        ``count`` (whose bounds swap when ``minval < 0``), and the other
+        functions value by value. Missing bounds stay missing."""
+        if r.est is None or func == "COUNT":
+            return r
+        s, m = self.scale, self.minval
+        if func == "VAR":
+            return AQPResult(*(None if v is None else v / s**2 for v in r))
+        if func != "SUM":
+            return AQPResult(*(None if v is None else v / s + m for v in r))
+        est = r.est / s + m * count.est
+        if r.lo is None:
+            return AQPResult(est, None, None)
+        c_lo, c_hi = (count.lo, count.hi) if m >= 0 else (count.hi, count.lo)
+        lo = r.lo / s + m * c_lo
+        hi = r.hi / s + m * c_hi
+        return AQPResult(est, min(lo, est), max(hi, est))
 
     def encode_series(self, s: pd.Series) -> pd.Series:
         """Encode a pandas column to float64 with NaN for nulls. Scaled
@@ -150,13 +169,6 @@ def _decimals_from(errors: np.ndarray, absmax: float) -> int:
         if errors[k] < 1e-6 * max(1.0, absmax * 10.0**k):
             return k
     return _MAX_DECIMALS
-
-
-def _decimals_needed(sample: np.ndarray) -> int:
-    """:func:`_decimals_from` over the non-NaN values of ``sample``."""
-    sample = sample[~np.isnan(sample)]
-    absmax = float(np.max(np.abs(sample))) if len(sample) else 0.0
-    return _decimals_from(_rounding_errors(sample), absmax)
 
 
 def _partial_schema(kinds: list[str]) -> T.StructType:
@@ -277,12 +289,6 @@ def scan(df: DataFrame) -> tuple[list[ColumnInfo], int]:
             )
         )
     return infos, n_rows
-
-
-def profile(df: DataFrame) -> list[ColumnInfo]:
-    """The codec of every column of ``df``: :func:`scan` without the row
-    count."""
-    return scan(df)[0]
 
 
 def encode_pandas(pdf: pd.DataFrame, infos: list[ColumnInfo]) -> pd.DataFrame:

@@ -1,17 +1,12 @@
 """Exact query answers — the evaluation's ground truth.
 
 The paper used SQLite for exact results (306.8 s median per query at 10^9
-rows); here DuckDB plays that role over the generated data, and an exact
-Spark SQL path exists so the repo's DuckDB oracle
-(:func:`repro.oracle.assert_equivalent`) can cross-check the ground-truth
-engine itself.
+rows); here DuckDB plays that role over the generated data.
 """
 from __future__ import annotations
 
 import duckdb
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-
 from repro.queries import Query, query_sql
 
 
@@ -40,10 +35,3 @@ class ExactEngine:
         """Exact per-group answers for a GROUP BY query."""
         rows = self.con.execute(query_sql(q, self.table)).fetchall()
         return {g: (None if v is None else float(v)) for g, v in rows}
-
-
-def exact_spark(spark: SparkSession, df: DataFrame, q: Query) -> DataFrame:
-    """Exact execution on Spark — used with the DuckDB oracle in tests."""
-    name = "exact_gt_view"
-    df.createOrReplaceTempView(name)
-    return spark.sql(query_sql(q, name))

@@ -12,7 +12,7 @@ AND/OR trees, and GROUP BY on a categorical column.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 import duckdb
 import numpy as np
@@ -56,6 +56,34 @@ class Query:
     col: str
     where: Node | None = None
     group_by: str | None = None
+
+
+class AQPResult(NamedTuple):
+    """An answer: the estimate and its lower and upper bounds, each None
+    where it is undefined (an empty selection, or an engine without
+    bounds). Every engine and every layer of the query path returns it,
+    in the encoded domain until ``ColumnInfo.decode`` maps it back."""
+
+    est: float | None
+    lo: float | None
+    hi: float | None
+
+    def contains(self, truth: float) -> bool:
+        return (
+            self.lo is not None
+            and self.hi is not None
+            and self.lo - 1e-9 <= truth <= self.hi + 1e-9
+        )
+
+    @property
+    def width(self) -> float | None:
+        if self.lo is None or self.hi is None:
+            return None
+        return self.hi - self.lo
+
+
+#: The answer to an empty selection.
+NO_ANSWER = AQPResult(None, None, None)
 
 
 def node_columns(node: Node | None) -> set[str]:

@@ -76,11 +76,6 @@ def chi2_cdf(x: float, df: float) -> float:
     return gammainc_lower(df / 2.0, x / 2.0)
 
 
-def chi2_sf(x: float, df: float) -> float:
-    """P(X > x) for X ~ chi-squared with ``df`` degrees of freedom."""
-    return 1.0 - chi2_cdf(x, df)
-
-
 @lru_cache(maxsize=4096)
 def chi2_ppf(q: float, df: int) -> float:
     """Chi-squared quantile: x such that P(X <= x) = q. Bisection on the

@@ -29,14 +29,7 @@ def con(toy_pdf):
 def _run(toy_ph, func, agg_idx, plan, single=False):
     w = wt.weights(toy_ph, agg_idx, plan)
     return aggregate(
-        func,
-        w,
-        toy_ph.hists1d[agg_idx],
-        rho=toy_ph.rho,
-        M=toy_ph.M,
-        alpha=toy_ph.alpha,
-        single_column=single,
-        centres=toy_ph.column_state(agg_idx).centres,
+        func, w, toy_ph.column_state(agg_idx), rho=toy_ph.rho, M=toy_ph.M, single_column=single
     )
 
 
@@ -138,10 +131,7 @@ class TestDegenerate:
         sample = toy_pdf.sample(n=2000, random_state=1)
         ph = build_local(sample, n_rows=120_000)  # rho = 1/60
         w = wt.weights(ph, 0, None)
-        est = aggregate(
-            "COUNT", w, ph.hists1d[0], rho=ph.rho, M=ph.M, alpha=ph.alpha,
-            centres=ph.column_state(0).centres,
-        )
+        est = aggregate("COUNT", w, ph.column_state(0), rho=ph.rho, M=ph.M)
         assert est.est == pytest.approx(120_000, rel=1e-6)
 
     def test_median_two_value_bin_rule(self):
@@ -157,7 +147,5 @@ class TestDegenerate:
         )
         ph = PairwiseHist(100, 100, 8, 0.001, [h], {})
         w = wt.weights(ph, 0, None)
-        est = aggregate(
-            "MEDIAN", w, h, rho=1.0, M=8, alpha=0.001, centres=ph.column_state(0).centres
-        )
+        est = aggregate("MEDIAN", w, ph.column_state(0), rho=1.0, M=8)
         assert est.est in (2.0, 8.0)

@@ -29,6 +29,7 @@ from repro.core.storage import (
     golomb_decode,
     golomb_encode,
 )
+from tests.reference import n_bits, read_unary, write_unary
 
 
 def reference_golomb_encode(writer: BitWriter, values: np.ndarray, m: int) -> None:
@@ -37,7 +38,7 @@ def reference_golomb_encode(writer: BitWriter, values: np.ndarray, m: int) -> No
     width = int(math.log2(b)) if b > 1 else 0
     for v in np.asarray(values, dtype=np.int64):
         q, r = divmod(int(v), b)
-        writer.write_unary(q)
+        write_unary(writer, q)
         if width:
             writer.write_bits(np.array([r]), width)
 
@@ -48,7 +49,7 @@ def reference_golomb_decode(reader: BitReader, n: int, m: int) -> np.ndarray:
     width = int(math.log2(b)) if b > 1 else 0
     out = np.empty(n, dtype=np.int64)
     for i in range(n):
-        q = reader.read_unary()
+        q = read_unary(reader)
         r = int(reader.read_bits(1, width)[0]) if width else 0
         out[i] = q * b + r
     return out
@@ -163,7 +164,7 @@ class TestGolomb:
         got, want = _writer(prefix), _writer(prefix)
         golomb_encode(got, np.array(gaps, dtype=np.int64), m)
         reference_golomb_encode(want, np.array(gaps, dtype=np.int64), m)
-        assert got.n_bits == want.n_bits
+        assert n_bits(got) == n_bits(want)
         assert got.getvalue() == want.getvalue()
 
     @given(gap_lists, params, prefixes, st.lists(st.integers(0, 1), max_size=20))
@@ -172,7 +173,7 @@ class TestGolomb:
         arr = np.array(gaps, dtype=np.int64)
         w = _writer(prefix)
         golomb_encode(w, arr, m)
-        end = w.n_bits
+        end = n_bits(w)
         w.write_bits(np.array(suffix, dtype=np.int64), 1)  # data after the codes
         r, ref = BitReader(w.getvalue()), BitReader(w.getvalue())
         r.pos = ref.pos = len(prefix)
@@ -186,7 +187,7 @@ class TestGolomb:
         w = BitWriter()
         golomb_encode(w, np.array(gaps, dtype=np.int64), m)
         r = BitReader(w.getvalue())
-        r.bits = r.bits[: data.draw(st.integers(0, w.n_bits - 1))]
+        r.bits = r.bits[: data.draw(st.integers(0, n_bits(w) - 1))]
         with pytest.raises(CorruptSynopsis):
             golomb_decode(r, len(gaps), m)
 

@@ -1,10 +1,17 @@
 """Tests for coverage (Eqs. 14-23) and the region algebra behind delayed
 transformation."""
 import numpy as np
+import pandas as pd
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import coverage as cov
 from repro.core.model import Hist1D
+from repro.gd.preprocess import ColumnInfo
+from repro.ground_truth import ExactEngine
+from repro.queries import OPS, Cond, Query
+from tests.reference import decimals_needed
 
 INF = float("inf")
 
@@ -181,3 +188,48 @@ class TestCoverageBounds:
         beta = np.array([0.999])
         lo, hi = cov.coverage_bounds(beta, np.array([5000.0]), np.array([500]), 100, 0.001)
         assert hi[0] == 1.0
+
+
+@st.composite
+def grid_column(draw):
+    """A float column of values with ``d`` decimals, and a literal: one of
+    its own values, or a value between two grid points. Values stay below
+    10^6 grid steps, where the profile finds ``d`` exactly."""
+    d = draw(st.integers(0, 3))
+    ints = draw(st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=30))
+    spread = draw(st.integers(0, 10**4))
+    base = draw(st.sampled_from(ints))
+    values = [(base + (m % (spread + 1))) / 10**d for m in ints]
+    if draw(st.booleans()):
+        lit = draw(st.sampled_from(values))
+    else:
+        m = draw(st.integers(base - 2, base + spread + 2))
+        lit = (m + draw(st.floats(0.05, 0.95))) / 10**d
+    return values, lit
+
+
+class TestLiteralsOnTheGrid:
+    """``encode_cond``, which every engine compiles its conditions with,
+    selects exactly the rows DuckDB selects on the original values."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_column())
+    @example(([0.0, 2.01, 2.02, 5.0], 2.01))  # 200.99999999999997 at scale 100
+    @example(([9999.98, 9999.99, 10000.0], 9999.99))  # a large minval
+    def test_encoded_region_counts_the_rows_duckdb_counts(self, case):
+        values, lit = case
+        pdf = pd.DataFrame({"x": values})
+        x = pdf["x"].to_numpy()
+        info = ColumnInfo(
+            "x", 0, "float", scale=10.0 ** decimals_needed(x),
+            minval=float(x.min()), maxval=float(x.max()),
+        )
+        enc = info.encode_series(pdf["x"]).to_numpy()
+        ex = ExactEngine(pdf)
+        try:
+            for op in OPS:
+                region = cov.encode_cond(Cond("x", op, lit), {"x": info})
+                got = sum(int(((enc >= a) & (enc <= b)).sum()) for a, b in region)
+                assert got == ex.scalar(Query("COUNT", "x", Cond("x", op, lit))), (op, region)
+        finally:
+            ex.close()

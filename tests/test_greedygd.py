@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from repro.datasets import DATASETS
 from repro.gd import greedygd
-from repro.gd.preprocess import ColumnInfo, _decimals_needed, encode_pandas, scan
+from repro.gd.preprocess import ColumnInfo, encode_pandas, scan
+from tests.reference import decimals_needed
 
 
 def _infos(pdf):
@@ -243,7 +244,7 @@ class TestDistinctRows:
 
 
 def _driver_infos(pdf: pd.DataFrame) -> list[ColumnInfo]:
-    """``profile``'s ColumnInfo computed on the driver: frequency-ranked
+    """``scan``'s ColumnInfo computed on the driver: frequency-ranked
     categories, min subtraction and decimal scale."""
     infos = []
     for k, c in enumerate(pdf.columns):
@@ -256,7 +257,7 @@ def _driver_infos(pdf: pd.DataFrame) -> list[ColumnInfo]:
             continue
         v = s.to_numpy(dtype="float64")
         kind = "float" if s.dtype.kind == "f" else "int"
-        scale = 10.0 ** _decimals_needed(v) if kind == "float" else 1.0
+        scale = 10.0 ** decimals_needed(v) if kind == "float" else 1.0
         infos.append(
             ColumnInfo(c, k, kind, scale=scale, minval=float(np.nanmin(v)), maxval=float(np.nanmax(v)))
         )

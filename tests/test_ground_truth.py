@@ -1,13 +1,13 @@
 """Tests for the exact engines — including oracle cross-checks between
-exact Spark SQL and DuckDB (repro.oracle) so the ground truth itself is
+exact Spark SQL and DuckDB (``tests.reference``) so the ground truth itself is
 verified, on an order-line-shaped table cut from Power."""
 import pandas as pd
 import pytest
 
 from repro.datasets import gen_power
-from repro.ground_truth import ExactEngine, exact_spark
-from repro.oracle import assert_equivalent
+from repro.ground_truth import ExactEngine
 from repro.queries import Cond, Group, Query, query_sql
+from tests.reference import assert_equivalent, exact_spark
 
 #: Power's columns in the roles of an order-line table: a quantity, a
 #: price, a discount and a categorical flag.

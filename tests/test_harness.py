@@ -5,7 +5,7 @@ import pytest
 
 from repro.experiments.harness import EngineReport, QueryOutcome, compute_truths
 from repro.experiments import tables
-from repro.queries import Cond, Query
+from repro.queries import AQPResult, Cond, Query
 
 
 def _q(func="COUNT"):
@@ -13,7 +13,13 @@ def _q(func="COUNT"):
 
 
 def _out(truth, est, lo=None, hi=None, func="COUNT", lat=0.001):
-    return QueryOutcome(_q(func), truth, est, lo, hi, lat)
+    return QueryOutcome(_q(func), truth, AQPResult(est, lo, hi), lat)
+
+
+def _report(*outcomes) -> EngineReport:
+    rep = EngineReport("X")
+    rep.outcomes = list(outcomes)
+    return rep
 
 
 class TestQueryOutcome:
@@ -26,12 +32,16 @@ class TestQueryOutcome:
         assert _out(100.0, None).rel_error is None
 
     def test_bound_correct(self):
-        assert _out(10.0, 11.0, 9.0, 12.0).bound_correct is True
-        assert _out(20.0, 11.0, 9.0, 12.0).bound_correct is False
-        assert _out(10.0, 11.0).bound_correct is None
+        """An answer counts when its bounds hold the truth; one without
+        bounds is left out."""
+        assert _report(_out(10.0, 11.0, 9.0, 12.0)).bounds_correct_rate() == 100.0
+        assert _report(_out(20.0, 11.0, 9.0, 12.0)).bounds_correct_rate() == 0.0
+        assert _report(_out(10.0, 11.0)).bounds_correct_rate() is None
 
     def test_bound_width_pct(self):
-        assert _out(10.0, 11.0, 9.0, 12.0).bound_width_pct == pytest.approx(30.0)
+        """Width in % of the truth."""
+        rep = _report(_out(10.0, 11.0, 9.0, 12.0), _out(0.0, 1.0, 0.0, 2.0))
+        assert rep.median_bound_width() == pytest.approx(30.0)
 
 
 class TestEngineReport:
