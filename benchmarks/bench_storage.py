@@ -15,14 +15,12 @@ def test_deserialize_synopsis(benchmark, ph_built):
     assert ph2.d == ph_built.ph.d
 
 
-def test_append_rows(benchmark, ph_built, power_scaled):
-    """Fig. 2 update path: one 5k-row batch folded into a fresh copy of the
-    built synopsis per round."""
+def _bench_append(benchmark, ph_built, batch):
+    """Time ``append_rows`` of ``batch`` into a fresh copy of the built
+    synopsis per round."""
     from repro.core.update import append_rows
-    from repro.gd.preprocess import encode_pandas
 
     blob = serialize(ph_built.ph)
-    batch = encode_pandas(power_scaled.sample(n=5000, random_state=1), ph_built.infos)
     grown = []
 
     def setup():
@@ -31,6 +29,26 @@ def test_append_rows(benchmark, ph_built, power_scaled):
 
     benchmark.pedantic(append_rows, setup=setup, rounds=20, iterations=1)
     assert grown[-1].n_rows == ph_built.ph.n_rows + len(batch)
+
+
+def test_append_rows(benchmark, ph_built, power_scaled):
+    """Fig. 2 update path: one 5k-row batch folded into a fresh copy of the
+    built synopsis per round."""
+    from repro.gd.preprocess import encode_pandas
+
+    batch = encode_pandas(power_scaled.sample(n=5000, random_state=1), ph_built.infos)
+    _bench_append(benchmark, ph_built, batch)
+
+
+def test_append_rows_with_nulls(benchmark, ph_built, power_scaled):
+    """The same batch with NaNs in two columns: their pair dimensions are
+    binned over each pair's complete rows, apart from the shared ones."""
+    from repro.gd.preprocess import encode_pandas
+
+    batch = encode_pandas(power_scaled.sample(n=5000, random_state=1), ph_built.infos)
+    batch.iloc[::4, 1] = float("nan")
+    batch.iloc[1::3, 5] = float("nan")
+    _bench_append(benchmark, ph_built, batch)
 
 
 def test_size_ordering_vs_baselines(ph_built, deepdb_model, dbest_model, power_workload):

@@ -3,9 +3,10 @@ analogue (RefineBin2D, Fig. 5).
 
 Pure numpy: the build kernel (``build.build_local``) calls them once per
 column and once per column pair over the collected sample. Refinement
-only chooses edges; :func:`bin_stats` is the one kernel that turns values
-and edges into a ``Hist1D`` (counts, min, max, unique count), for a
-column, for each dimension of a pair and for ``update.append_rows``.
+only chooses edges; :func:`bin_stats` is the one kernel that turns sorted
+values and edges into ``Hist1D``s (counts, min, max, unique count), for a
+column, for each dimension of a pair and, several at once, for
+``update.append_rows``.
 """
 from __future__ import annotations
 
@@ -89,7 +90,7 @@ def refine_1d(
         lo, hi = edges0[t], edges0[t + 1]
         mask = (x >= lo) & ((x <= hi) if t == last else (x < hi))
         _refine_1d_rec(x[mask], lo, hi, M, alpha, uppers, max_bins)
-    return bin_stats(x, np.concatenate(([edges0[0]], uppers)))
+    return bin_stats(np.sort(x), [np.concatenate(([edges0[0]], uppers))])[0]
 
 
 def _split_point(vals: np.ndarray, lo: float, hi: float) -> float | None:
@@ -125,38 +126,43 @@ def _group_slices(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return order, starts, sk[starts]
 
 
-def bin_stats(values: np.ndarray, edges: np.ndarray, idx: np.ndarray | None = None) -> Hist1D:
-    """The histogram of ``values`` over ``edges``: per-bin counts, min,
-    max and unique count (Algorithm 1 lines 23 & 26). ``idx`` is
-    ``_bin_index(values, edges)`` when the caller already has it. An
-    empty bin keeps its edges as its extrema and a unique count of 0.
+def bin_stats(sv: np.ndarray, edges: list[np.ndarray]) -> list[Hist1D]:
+    """The histogram of the sorted, NaN-free values ``sv`` over each edge
+    array of ``edges``: per-bin counts, min, max and unique count
+    (Algorithm 1 lines 23 & 26). A value below the first edge counts in
+    the first bin and one at or past the last edge in the last (as
+    :func:`_bin_index` clips). An empty bin keeps its edges as its
+    extrema and a unique count of 0.
 
-    A bin index never decreases as the value grows, so sorting the values
-    and the indices each on its own sorts both by (bin, value): a bin's
-    min and max are the ends of its run, and its unique count is the
-    number of places where the bin or the value changes."""
-    k = len(edges) - 1
-    vmin = edges[:-1].copy()
-    vmax = edges[1:].copy()
-    uniq = np.zeros(k, dtype=np.int64)
-    if len(values) == 0:
-        return Hist1D(edges, np.zeros(k, dtype=np.int64), vmin, vmax, uniq)
-    if idx is None:
-        idx = _bin_index(values, edges)
-    counts = np.bincount(idx, minlength=k).astype(np.int64, copy=False)
-    si = np.sort(idx)
-    sv = np.sort(values)
-    new_bin = np.empty(len(si), dtype=bool)
-    new_bin[0] = True
-    np.not_equal(si[1:], si[:-1], out=new_bin[1:])
-    starts = np.flatnonzero(new_bin)
-    t = si[starts]
-    vmin[t] = sv[starts]
-    vmax[t] = sv[np.append(starts[1:], len(sv)) - 1]
-    new_value = new_bin.copy()
-    new_value[1:] |= sv[1:] != sv[:-1]
-    uniq[t] = np.add.reduceat(new_value.astype(np.int64), starts)
-    return Hist1D(edges, counts, vmin, vmax, uniq)
+    One ``searchsorted`` of every edge into ``sv`` gives each bin's run
+    ``[start, end)`` of sorted values: its count is the run's length, its
+    min and max the values at the run's ends, and its unique count the
+    difference of one cumulative sum of "value changed" flags (a run's
+    first value always differs from the one before it)."""
+    n = len(sv)
+    ks = np.array([len(e) - 1 for e in edges])
+    cut = np.cumsum(ks)  # where each histogram's bins end
+    e = np.concatenate(edges)
+    lo = np.arange(cut[-1]) + np.repeat(np.arange(len(ks)), ks)  # each bin's lower edge in e
+    pos = np.searchsorted(sv, e, "left")
+    starts, ends = pos[lo], pos[lo + 1]
+    starts[cut - ks] = 0
+    ends[cut - 1] = n
+    counts = ends - starts
+    changed = np.empty(n, dtype=bool)
+    changed[:1] = True
+    np.not_equal(sv[1:], sv[:-1], out=changed[1:])
+    distinct = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(changed, out=distinct[1:])
+    uniq = distinct[ends] - distinct[starts]
+    vmin, vmax = e[lo], e[lo + 1]
+    full = counts > 0
+    vmin[full] = sv[starts[full]]
+    vmax[full] = sv[ends[full] - 1]
+    return [
+        Hist1D(ed, counts[a:b], vmin[a:b], vmax[a:b], uniq[a:b])
+        for ed, a, b in zip(edges, cut - ks, cut)
+    ]
 
 
 def refine_2d(
@@ -230,4 +236,4 @@ def refine_2d(
 
     kx, ky = len(ex) - 1, len(ey) - 1
     counts = np.bincount(xi * ky + yi, minlength=kx * ky).reshape(kx, ky)
-    return Hist2D(i, j, counts, bin_stats(x, ex, xi), bin_stats(y, ey, yi))
+    return Hist2D(i, j, counts, *bin_stats(np.sort(x), [ex]), *bin_stats(np.sort(y), [ey]))

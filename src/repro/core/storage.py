@@ -313,8 +313,10 @@ def serialize(ph: PairwiseHist) -> bytes:
 def deserialize(buf: bytes) -> PairwiseHist:
     """Decode a :func:`serialize` blob; raises :class:`CorruptSynopsis`
     on a bad magic, a truncated blob, trailing bytes, metadata of the
-    wrong length, or a pair ``(i, j)`` that is repeated or not
-    ``0 <= i < j < d``."""
+    wrong length, a pair ``(i, j)`` that is repeated or not
+    ``0 <= i < j < d``, or a pair dimension whose outer edges are not its
+    column's (refinement only adds interior edges, and an append clips
+    each column once into them)."""
     if buf[:4] != _MAGIC:
         raise CorruptSynopsis("bad magic")
     (n_rows, n_sample, M, alpha), offset = _unpack("<QQId", buf, 4)
@@ -328,6 +330,9 @@ def deserialize(buf: bytes) -> PairwiseHist:
         h, offset = _unpack_hist2d(buf, offset)
         if not 0 <= h.i < h.j < d or (h.i, h.j) in hists2d:
             raise CorruptSynopsis(f"pair ({h.i}, {h.j}) in a {d}-column synopsis")
+        for c, dim in ((h.i, h.dim_i), (h.j, h.dim_j)):
+            if (dim.edges[0], dim.edges[-1]) != (hists1d[c].edges[0], hists1d[c].edges[-1]):
+                raise CorruptSynopsis(f"pair ({h.i}, {h.j}): column {c}'s outer edges differ")
         hists2d[(h.i, h.j)] = h
     if offset != len(buf):
         raise CorruptSynopsis(f"{len(buf) - offset} trailing bytes")

@@ -164,9 +164,13 @@ def _decimals_from(errors: np.ndarray, absmax: float) -> int:
     are ``errors`` and whose largest magnitude is ``absmax`` are integral
     at scale 10^k (within float tolerance) — the paper's 10.22 → 1022
     conversion. ``max|x·10^k|`` is ``absmax·10^k`` exactly, since scaling
-    by a positive constant keeps the order of rounded products."""
+    by a positive constant keeps the order of rounded products. The
+    tolerance is 16 float64 machine epsilons of that largest product, and
+    at least 1e-6, so it follows the products' own rounding error: one of
+    1e-6 relative to the product reaches 0.5 past 5·10^5 and merges
+    distinct values."""
     for k in range(_MAX_DECIMALS + 1):
-        if errors[k] < 1e-6 * max(1.0, absmax * 10.0**k):
+        if errors[k] < max(1e-6, 16 * 2.0**-52 * absmax * 10.0**k):
             return k
     return _MAX_DECIMALS
 

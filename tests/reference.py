@@ -1,11 +1,14 @@
 """Code that only the tests use: the DuckDB oracle for Spark results,
-exact execution on Spark, the decimal scale of a value array and the
-bit-at-a-time unary code of the reference Golomb coder."""
+exact execution on Spark, the decimal scale of a value array, the
+bit-at-a-time unary code of the reference Golomb coder and the
+per-dimension append path."""
 import duckdb
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.core.model import Hist1D, PairwiseHist
+from repro.core.refine import _bin_index
 from repro.core.storage import BitReader, BitWriter
 from repro.gd.preprocess import _decimals_from, _rounding_errors
 from repro.queries import Query, query_sql
@@ -83,3 +86,77 @@ def read_unary(reader: BitReader) -> int:
 def n_bits(writer: BitWriter) -> int:
     """Bits written so far."""
     return sum(len(b) for b in writer._bits)
+
+
+# ---------------------------------------------------------------------------
+# Append path
+
+
+def _two_sort_bin_stats(values: np.ndarray, edges: np.ndarray, idx: np.ndarray) -> Hist1D:
+    """Per-bin counts and metadata of ``values`` whose bins are ``idx``:
+    the bin indices and the values, each sorted on its own, are both
+    sorted by (bin, value)."""
+    k = len(edges) - 1
+    vmin = edges[:-1].copy()
+    vmax = edges[1:].copy()
+    uniq = np.zeros(k, dtype=np.int64)
+    if len(values) == 0:
+        return Hist1D(edges, np.zeros(k, dtype=np.int64), vmin, vmax, uniq)
+    counts = np.bincount(idx, minlength=k).astype(np.int64, copy=False)
+    si = np.sort(idx)
+    sv = np.sort(values)
+    new_bin = np.empty(len(si), dtype=bool)
+    new_bin[0] = True
+    np.not_equal(si[1:], si[:-1], out=new_bin[1:])
+    starts = np.flatnonzero(new_bin)
+    t = si[starts]
+    vmin[t] = sv[starts]
+    vmax[t] = sv[np.append(starts[1:], len(sv)) - 1]
+    new_value = new_bin.copy()
+    new_value[1:] |= sv[1:] != sv[:-1]
+    uniq[t] = np.add.reduceat(new_value.astype(np.int64), starts)
+    return Hist1D(edges, counts, vmin, vmax, uniq)
+
+
+def _fold(hist: Hist1D, v: np.ndarray) -> tuple[np.ndarray, Hist1D]:
+    """Clip ``v`` into ``hist``'s edges, add its counts and widen the
+    extrema of the bins it reaches; return its bins and its histogram."""
+    v = np.clip(v, hist.edges[0], hist.edges[-1])
+    idx = _bin_index(v, hist.edges)
+    new = _two_sort_bin_stats(v, hist.edges, idx)
+    t = new.counts > 0
+    hist.counts += new.counts
+    hist.vmin[t] = np.minimum(hist.vmin[t], new.vmin[t])
+    hist.vmax[t] = np.maximum(hist.vmax[t], new.vmax[t])
+    return idx, new
+
+
+def reference_append_rows(ph: PairwiseHist, batch: pd.DataFrame) -> None:
+    """``update.append_rows`` one ``Hist1D`` at a time: every column
+    histogram and every pair dimension clips, bins and sorts its own
+    values."""
+    take = batch
+    if ph.rho < 1.0 and len(batch) > 0:
+        take = batch.sample(frac=min(1.0, ph.rho), random_state=0)
+    values = [take[c].to_numpy(dtype="float64") for c in batch.columns]
+    null = [np.isnan(v) for v in values]
+    for hist, v, nl in zip(ph.hists1d, values, null):
+        _, new = _fold(hist, v[~nl])
+        t = new.counts > 0
+        hist.uniq[t] = np.minimum(
+            hist.uniq[t] + new.uniq[t],
+            (hist.vmax[t] - hist.vmin[t] + 1).astype(np.int64).clip(min=1),
+        )
+    for (i, j), h2 in ph.hists2d.items():
+        ok = ~(null[i] | null[j])
+        if not ok.any():
+            continue
+        xi, new_i = _fold(h2.dim_i, values[i][ok])
+        yi, new_j = _fold(h2.dim_j, values[j][ok])
+        ki, kj = h2.counts.shape
+        h2.counts += np.bincount(xi * kj + yi, minlength=ki * kj).reshape(ki, kj)
+        np.maximum(h2.dim_i.uniq, new_i.uniq, out=h2.dim_i.uniq)
+        np.maximum(h2.dim_j.uniq, new_j.uniq, out=h2.dim_j.uniq)
+    ph.n_rows += len(batch)
+    ph.n_sample += len(take)
+    ph.derived.clear()

@@ -194,9 +194,9 @@ class TestCoverageBounds:
 def grid_column(draw):
     """A float column of values with ``d`` decimals, and a literal: one of
     its own values, or a value between two grid points. Values stay below
-    10^6 grid steps, where the profile finds ``d`` exactly."""
+    2·10^7 grid steps, where the profile finds ``d`` exactly."""
     d = draw(st.integers(0, 3))
-    ints = draw(st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=30))
+    ints = draw(st.lists(st.integers(-2 * 10**7, 2 * 10**7), min_size=1, max_size=30))
     spread = draw(st.integers(0, 10**4))
     base = draw(st.sampled_from(ints))
     values = [(base + (m % (spread + 1))) / 10**d for m in ints]

@@ -215,6 +215,12 @@ def infos(spark, mixed_pdf):
     return scan(spark.createDataFrame(mixed_pdf))[0]
 
 
+def test_large_values_keep_their_decimals():
+    """The tolerance follows float64 rounding, not the value's size: one
+    decimal would encode all three values to the same integer."""
+    assert decimals_needed(np.array([123456.78, 123456.79, 123456.8])) == 2
+
+
 class TestProfile:
     def test_kinds(self, infos):
         kinds = {i.name: i.kind for i in infos}

@@ -131,16 +131,16 @@ class TestMarginalMeta:
     def test_values(self):
         vals = np.array([1.0, 2.0, 2.0, 7.0, 9.0])
         edges = np.array([0.0, 5.0, 10.0])
-        m = bin_stats(vals, edges)
+        (m,) = bin_stats(vals, [edges])
         assert list(m.counts) == [3, 2]
         assert m.vmin[0] == 1.0 and m.vmax[0] == 2.0 and m.uniq[0] == 2
         assert m.vmin[1] == 7.0 and m.vmax[1] == 9.0 and m.uniq[1] == 2
 
     def test_empty_bins_defaults(self):
-        m = bin_stats(np.array([9.0]), np.array([0.0, 5.0, 10.0]))
+        (m,) = bin_stats(np.array([9.0]), [np.array([0.0, 5.0, 10.0])])
         assert m.counts[0] == 0 and m.uniq[0] == 0
         assert m.vmin[0] == 0.0 and m.vmax[0] == 5.0  # edge defaults
 
     def test_no_values(self):
-        m = bin_stats(np.array([]), np.array([0.0, 1.0]))
+        (m,) = bin_stats(np.array([]), [np.array([0.0, 1.0])])
         assert m.counts[0] == 0 and m.uniq[0] == 0

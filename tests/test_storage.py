@@ -214,6 +214,15 @@ class TestCorruptSynopsis:
         with pytest.raises(CorruptSynopsis, match="metadata"):
             deserialize(serialize(ph))
 
+    @pytest.mark.parametrize("owner, at, shift", [("dim_i", 0, -1.0), ("dim_j", -1, 1.0)])
+    def test_pair_outer_edge_mismatch_rejected(self, three_columns, owner, at, shift):
+        """A pair dimension's outer edges are its column's: one clip per
+        column is what an append relies on."""
+        ph = copy.deepcopy(three_columns)
+        getattr(ph.hists2d[(0, 2)], owner).edges[at] += shift
+        with pytest.raises(CorruptSynopsis, match=r"pair \(0, 2\).*outer edges"):
+            deserialize(serialize(ph))
+
 
 class TestEq12:
     def test_bound_positive_and_ordered(self, toy_ph):
