@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines.dbest_lite import DBEstLite
 from repro.baselines.deepdb_lite import DeepDBLite
-from repro.core.build import GD_SAMPLE_ROWS, build_synopsis
+from repro.core.build import GD_SAMPLE_ROWS, build_local, build_synopsis
 from repro.datasets import gen_flights
 from repro.gd.preprocess import encode_pandas, scan
 
@@ -20,6 +20,19 @@ def test_pairwisehist_build(benchmark, spark, power_scaled):
         iterations=1,
     )
     assert res.ph.d == power_scaled.shape[1]
+
+
+def test_refine_power_sample(benchmark, power_scaled, ph_built):
+    """Algorithm 1's refinement alone (the 1-d, then the 2-d histograms)
+    on an encoded Power sample with the build's GreedyGD seeds: the
+    driver-side part of ``test_pairwisehist_build``, without Spark's
+    profile and sample stages around it."""
+    from repro.gd import greedygd
+
+    enc = encode_pandas(power_scaled, ph_built.infos).sample(n=NS, random_state=3)
+    seeds = greedygd.base_edges(enc, ph_built.gd_plan)
+    ph = benchmark.pedantic(lambda: build_local(enc, seeds=seeds), rounds=3, iterations=1)
+    assert len(ph.hists2d) == ph.d * (ph.d - 1) // 2
 
 
 def test_deepdb_build(benchmark, power_scaled, ph_built):

@@ -1,14 +1,17 @@
-"""Recursive bin refinement — Algorithm 2 (RefineBin1D) and its 2-d
-analogue (RefineBin2D, Fig. 5).
+"""Bin refinement — Algorithm 2 (RefineBin1D) and its 2-d analogue
+(RefineBin2D, Fig. 5) as one pass loop, :func:`_refine`, over a grid of
+one or two dimensions.
 
-Pure numpy: the build kernel (``build.build_local``) calls them once per
-column and once per column pair over the collected sample. Refinement
-only chooses edges; :func:`bin_stats` is the one kernel that turns sorted
-values and edges into ``Hist1D``s (counts, min, max, unique count), for a
-column, for each dimension of a pair and, several at once, for
-``update.append_rows``.
+Pure numpy: the build kernel (``build.build_local``) calls
+:func:`refine_1d` once per column and :func:`refine_2d` once per column
+pair over the collected sample. Refinement only chooses edges;
+:func:`bin_stats` is the one kernel that turns sorted values and edges
+into ``Hist1D``s (counts, min, max, unique count), for a column, for each
+dimension of a pair and, several at once, for ``update.append_rows``.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -18,7 +21,7 @@ from repro.core.model import Hist1D, Hist2D
 #: hard caps so adversarial data cannot blow up a synopsis.
 MAX_BINS_1D = 2048
 MAX_BINS_PER_DIM_2D = 512
-MAX_PASSES_2D = 60
+MAX_PASSES = 60
 
 
 def prepare_initial_edges(
@@ -39,32 +42,61 @@ def prepare_initial_edges(
     return np.concatenate(([lo], vals, [hi]))
 
 
-def _refine_1d_rec(
-    x: np.ndarray,
-    e_lo: float,
-    e_hi: float,
+def _refine(
+    values: list[np.ndarray],
+    edges: list[np.ndarray],
     M: int,
     alpha: float,
-    uppers: list[float],
     max_bins: int,
-) -> None:
-    """Append the upper edges of ``[e_lo, e_hi)``'s refined bins to
-    ``uppers``, left to right (Algorithm 2): split while the bin holds at
-    least ``M`` points of two or more values that fail the uniformity test
-    and ``max_bins`` bins have not been emitted. Splits follow
-    :func:`_split_point`, as in 2-d: the bin midpoint (equal-width — the
-    variant the paper found slightly better than equal-depth), else a gap
-    between two values, so a split never makes an empty-width bin."""
-    if len(x) >= M and len(uppers) < max_bins:
-        nu = len(np.unique(x))
-        if nu > 1 and not is_uniform(x, e_lo, e_hi, nu, alpha).uniform:
-            z = _split_point(x, e_lo, e_hi)
-            if z is not None:
-                left = x < z
-                _refine_1d_rec(x[left], e_lo, z, M, alpha, uppers, max_bins)
-                _refine_1d_rec(x[~left], z, e_hi, M, alpha, uppers, max_bins)
-                return
-    uppers.append(e_hi)
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each dimension's edges after refining the grid ``edges`` over the
+    points ``values`` (one array per dimension, one or two dimensions),
+    and the points' counts on the refined grid: Algorithm 2, and
+    RefineBin2D (Fig. 5) the same way.
+
+    Each pass groups the points by cell and tests every cell with at
+    least ``M`` points for uniformity in each dimension. A cell that fails
+    splits its least uniform dimension (largest chi2/critical, ties to the
+    first) at :func:`_split_point`, across the whole grid, while that
+    dimension has fewer than ``max_bins`` bins. Passes stop when one adds
+    no edge, or after ``MAX_PASSES``. A cell's bounds fix its points and
+    so its outcome: a cell that added no edge is not tested again, and in
+    one dimension, where a bin's test sees only its own points, the passes
+    give the recursion's edges."""
+    edges = [np.array(e, dtype=np.float64) for e in edges]  # a pair's own copy of the 1-d edges
+    settled: set[tuple[float, ...]] = set()
+    for n_pass in range(MAX_PASSES + 1):
+        ks = tuple(len(e) - 1 for e in edges)
+        keys = np.ravel_multi_index([_bin_index(v, e) for v, e in zip(values, edges)], ks)
+        if n_pass == MAX_PASSES:
+            break
+        order, starts, gkeys = _group_slices(keys)
+        cells = np.unravel_index(gkeys, ks)
+        ends = np.append(starts[1:], len(keys))
+        new: list[set[float]] = [set() for _ in ks]
+        for g in np.flatnonzero(ends - starts >= M):
+            lo = [e[c[g]] for e, c in zip(edges, cells)]
+            hi = [e[c[g] + 1] for e, c in zip(edges, cells)]
+            bounds = (*lo, *hi)
+            if bounds in settled:
+                continue
+            rows = order[starts[g] : ends[g]]
+            pts = [v[rows] for v in values]
+            tests = [is_uniform(p, a, b, len(np.unique(p)), alpha) for p, a, b in zip(pts, lo, hi)]
+            failed = [d for d, r in enumerate(tests) if not r.uniform]
+            z = None
+            if failed:
+                d = max(failed, key=lambda d: tests[d].ratio)
+                if ks[d] + len(new[d]) < max_bins:
+                    z = _split_point(pts[d], lo[d], hi[d])
+            if z is None:
+                settled.add(bounds)
+            else:
+                new[d].add(z)
+        if not any(new):
+            break
+        edges = [np.unique(np.concatenate((e, list(n)))) for e, n in zip(edges, new)]
+    return edges, np.bincount(keys, minlength=math.prod(ks)).reshape(ks)
 
 
 def refine_1d(
@@ -74,23 +106,18 @@ def refine_1d(
     alpha: float,
     max_bins: int = MAX_BINS_1D,
 ) -> Hist1D:
-    """Build a refined 1-d histogram over ``values`` (encoded; NaNs and
-    values outside the initial edges are dropped).
-
-    Iterates Algorithm 2 over each initial bin for the edges, then takes
-    the counts and metadata from :func:`bin_stats`; the final edge is
+    """Build a refined 1-d histogram of at most ``max_bins`` bins (or the
+    initial ones) over ``values`` (encoded; NaNs and values outside the
+    initial edges are dropped): :func:`_refine` chooses the edges and
+    :func:`bin_stats` takes the counts and metadata; the final edge is
     inclusive (numpy histogram convention).
     """
     x = np.asarray(values, dtype=np.float64)
     edges0 = np.asarray(initial_edges, dtype=np.float64)
-    x = x[(x >= edges0[0]) & (x <= edges0[-1])]
-    uppers: list[float] = []
-    last = len(edges0) - 2
-    for t in range(len(edges0) - 1):
-        lo, hi = edges0[t], edges0[t + 1]
-        mask = (x >= lo) & ((x <= hi) if t == last else (x < hi))
-        _refine_1d_rec(x[mask], lo, hi, M, alpha, uppers, max_bins)
-    return bin_stats(np.sort(x), [np.concatenate(([edges0[0]], uppers))])[0]
+    # Sorted values keep every pass's grouping a scan of presorted keys.
+    sv = np.sort(x[(x >= edges0[0]) & (x <= edges0[-1])])
+    (edges,), _ = _refine([sv], [edges0], M, alpha, max_bins)
+    return bin_stats(sv, [edges])[0]
 
 
 def _split_point(vals: np.ndarray, lo: float, hi: float) -> float | None:
@@ -175,65 +202,17 @@ def refine_2d(
     M: int,
     alpha: float,
     max_bins_per_dim: int = MAX_BINS_PER_DIM_2D,
-    max_passes: int = MAX_PASSES_2D,
 ) -> Hist2D:
-    """2-d refinement (RefineBin2D, Fig. 5): starting from the 1-d edges,
-    repeatedly test every bin with at least ``M`` points for uniformity in
-    each dimension separately and split the *less uniform* dimension at the
-    bin midpoint. A split spans the full row/column of the grid, exactly as
-    in the paper, so it is applied globally and counts are recomputed each
-    pass until no bin rejects the null.
+    """2-d refinement (RefineBin2D, Fig. 5): :func:`_refine` starts from the
+    1-d edges and splits the *less uniform* dimension of each cell that
+    fails the test. A split spans the full row/column of the grid, exactly
+    as in the paper.
 
     ``x``/``y`` are the pairwise-complete (both non-null) encoded values of
     columns ``i`` and ``j``.
     """
-    ex = np.asarray(edges_x, dtype=np.float64).copy()
-    ey = np.asarray(edges_y, dtype=np.float64).copy()
     ok = ~(np.isnan(x) | np.isnan(y))
     x = np.asarray(x, dtype=np.float64)[ok]
     y = np.asarray(y, dtype=np.float64)[ok]
-
-    for _ in range(max_passes):
-        kx, ky = len(ex) - 1, len(ey) - 1
-        xi = _bin_index(x, ex)
-        yi = _bin_index(y, ey)
-        flat = xi * ky + yi
-        order, starts, gkeys = _group_slices(flat)
-        bounds = np.concatenate((starts, [len(flat)]))
-        new_x: set[float] = set()
-        new_y: set[float] = set()
-        for g, key in enumerate(gkeys):
-            lo, hi = bounds[g], bounds[g + 1]
-            if hi - lo < M:
-                continue
-            ti, tj = int(key) // ky, int(key) % ky
-            xs = x[order[lo:hi]]
-            ys = y[order[lo:hi]]
-            rx = is_uniform(xs, ex[ti], ex[ti + 1], len(np.unique(xs)), alpha)
-            ry = is_uniform(ys, ey[tj], ey[tj + 1], len(np.unique(ys)), alpha)
-            if rx.uniform and ry.uniform:
-                continue
-            # Split the least uniform dimension (largest chi2/critical).
-            if (not rx.uniform) and (rx.ratio >= ry.ratio or ry.uniform):
-                if kx + len(new_x) < max_bins_per_dim:
-                    z = _split_point(xs, ex[ti], ex[ti + 1])
-                    if z is not None:
-                        new_x.add(z)
-            else:
-                if ky + len(new_y) < max_bins_per_dim:
-                    z = _split_point(ys, ey[tj], ey[tj + 1])
-                    if z is not None:
-                        new_y.add(z)
-        if not new_x and not new_y:
-            break
-        if new_x:
-            ex = np.unique(np.concatenate((ex, np.array(sorted(new_x)))))
-        if new_y:
-            ey = np.unique(np.concatenate((ey, np.array(sorted(new_y)))))
-    else:  # the last pass added edges: bin by the final ones
-        xi = _bin_index(x, ex)
-        yi = _bin_index(y, ey)
-
-    kx, ky = len(ex) - 1, len(ey) - 1
-    counts = np.bincount(xi * ky + yi, minlength=kx * ky).reshape(kx, ky)
+    (ex, ey), counts = _refine([x, y], [edges_x, edges_y], M, alpha, max_bins_per_dim)
     return Hist2D(i, j, counts, *bin_stats(np.sort(x), [ex]), *bin_stats(np.sort(y), [ey]))

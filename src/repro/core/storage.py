@@ -314,9 +314,10 @@ def deserialize(buf: bytes) -> PairwiseHist:
     """Decode a :func:`serialize` blob; raises :class:`CorruptSynopsis`
     on a bad magic, a truncated blob, trailing bytes, metadata of the
     wrong length, a pair ``(i, j)`` that is repeated or not
-    ``0 <= i < j < d``, or a pair dimension whose outer edges are not its
-    column's (refinement only adds interior edges, and an append clips
-    each column once into them)."""
+    ``0 <= i < j < d``, or a pair dimension whose edges are not its
+    column's 1-d edges plus interior ones (refinement only adds interior
+    edges, queries map the pair's bins onto the 1-d ones, and an append
+    clips each column once into the outer edges)."""
     if buf[:4] != _MAGIC:
         raise CorruptSynopsis("bad magic")
     (n_rows, n_sample, M, alpha), offset = _unpack("<QQId", buf, 4)
@@ -331,8 +332,12 @@ def deserialize(buf: bytes) -> PairwiseHist:
         if not 0 <= h.i < h.j < d or (h.i, h.j) in hists2d:
             raise CorruptSynopsis(f"pair ({h.i}, {h.j}) in a {d}-column synopsis")
         for c, dim in ((h.i, h.dim_i), (h.j, h.dim_j)):
-            if (dim.edges[0], dim.edges[-1]) != (hists1d[c].edges[0], hists1d[c].edges[-1]):
-                raise CorruptSynopsis(f"pair ({h.i}, {h.j}): column {c}'s outer edges differ")
+            fine, coarse = dim.edges, hists1d[c].edges
+            pos = fine.searchsorted(coarse)
+            at = fine.take(pos, mode="clip")
+            if pos[0] != 0 or pos[-1] != len(fine) - 1 or not (at == coarse).all():
+                msg = f"pair ({h.i}, {h.j}): column {c}'s 1-d or outer edges differ"
+                raise CorruptSynopsis(msg)
         hists2d[(h.i, h.j)] = h
     if offset != len(buf):
         raise CorruptSynopsis(f"{len(buf) - offset} trailing bytes")

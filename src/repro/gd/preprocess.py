@@ -88,8 +88,12 @@ class ColumnInfo:
         x = (float(v) - self.minval) * self.scale
         if self.kind == "float" and math.isfinite(x):
             r = float(round(x))
-            err = abs(x - r)
-            if err <= 1e-9 or err <= 1e-9 * abs(x):  # 1e-9·max(1, |x|)
+            # Within 1e-9·max(1, |x|), or within the half ulp of decimal
+            # rounding that v and minval each carry, times the scale: a
+            # large |v| with a small x (-1674353.6 at minval -1674353.7,
+            # scale 10, gives 0.9999999986) needs the second.
+            ulps = (abs(float(v)) + abs(self.minval)) * self.scale * np.finfo(float).eps
+            if abs(x - r) <= 1e-9 * max(1.0, abs(x)) + ulps:
                 return r
         return x
 

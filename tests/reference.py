@@ -1,14 +1,22 @@
 """Code that only the tests use: the DuckDB oracle for Spark results,
 exact execution on Spark, the decimal scale of a value array, the
-bit-at-a-time unary code of the reference Golomb coder and the
-per-dimension append path."""
+bit-at-a-time unary code of the reference Golomb coder, the
+per-dimension append path and the x/y pass loop of 2-d refinement."""
 import duckdb
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.model import Hist1D, PairwiseHist
-from repro.core.refine import _bin_index
+from repro.core.hypothesis import is_uniform
+from repro.core.model import Hist1D, Hist2D, PairwiseHist
+from repro.core.refine import (
+    MAX_BINS_PER_DIM_2D,
+    MAX_PASSES,
+    _bin_index,
+    _group_slices,
+    _split_point,
+    bin_stats,
+)
 from repro.core.storage import BitReader, BitWriter
 from repro.gd.preprocess import _decimals_from, _rounding_errors
 from repro.queries import Query, query_sql
@@ -160,3 +168,72 @@ def reference_append_rows(ph: PairwiseHist, batch: pd.DataFrame) -> None:
     ph.n_rows += len(batch)
     ph.n_sample += len(take)
     ph.derived.clear()
+
+
+# ---------------------------------------------------------------------------
+# 2-d refinement
+
+
+def reference_refine_2d(
+    x: np.ndarray,
+    y: np.ndarray,
+    edges_x: np.ndarray,
+    edges_y: np.ndarray,
+    i: int,
+    j: int,
+    M: int,
+    alpha: float,
+    max_bins_per_dim: int = MAX_BINS_PER_DIM_2D,
+) -> Hist2D:
+    """RefineBin2D with the x and y dimensions written out: every pass
+    tests every cell with at least ``M`` points, settled or not, and
+    splits the less uniform dimension across the grid."""
+    ex = np.asarray(edges_x, dtype=np.float64).copy()
+    ey = np.asarray(edges_y, dtype=np.float64).copy()
+    ok = ~(np.isnan(x) | np.isnan(y))
+    x = np.asarray(x, dtype=np.float64)[ok]
+    y = np.asarray(y, dtype=np.float64)[ok]
+
+    for _ in range(MAX_PASSES):
+        kx, ky = len(ex) - 1, len(ey) - 1
+        xi = _bin_index(x, ex)
+        yi = _bin_index(y, ey)
+        flat = xi * ky + yi
+        order, starts, gkeys = _group_slices(flat)
+        bounds = np.concatenate((starts, [len(flat)]))
+        new_x: set[float] = set()
+        new_y: set[float] = set()
+        for g, key in enumerate(gkeys):
+            lo, hi = bounds[g], bounds[g + 1]
+            if hi - lo < M:
+                continue
+            ti, tj = int(key) // ky, int(key) % ky
+            xs = x[order[lo:hi]]
+            ys = y[order[lo:hi]]
+            rx = is_uniform(xs, ex[ti], ex[ti + 1], len(np.unique(xs)), alpha)
+            ry = is_uniform(ys, ey[tj], ey[tj + 1], len(np.unique(ys)), alpha)
+            if rx.uniform and ry.uniform:
+                continue
+            if (not rx.uniform) and (rx.ratio >= ry.ratio or ry.uniform):
+                if kx + len(new_x) < max_bins_per_dim:
+                    z = _split_point(xs, ex[ti], ex[ti + 1])
+                    if z is not None:
+                        new_x.add(z)
+            else:
+                if ky + len(new_y) < max_bins_per_dim:
+                    z = _split_point(ys, ey[tj], ey[tj + 1])
+                    if z is not None:
+                        new_y.add(z)
+        if not new_x and not new_y:
+            break
+        if new_x:
+            ex = np.unique(np.concatenate((ex, np.array(sorted(new_x)))))
+        if new_y:
+            ey = np.unique(np.concatenate((ey, np.array(sorted(new_y)))))
+    else:  # the last pass added edges: bin by the final ones
+        xi = _bin_index(x, ex)
+        yi = _bin_index(y, ey)
+
+    kx, ky = len(ex) - 1, len(ey) - 1
+    counts = np.bincount(xi * ky + yi, minlength=kx * ky).reshape(kx, ky)
+    return Hist2D(i, j, counts, *bin_stats(np.sort(x), [ex]), *bin_stats(np.sort(y), [ey]))

@@ -1,8 +1,8 @@
 """Differential tests of the whole-array write-path kernels: the Golomb
 encoder and decoder of Sec. 4.3, the per-bin counts and metadata of
-Algorithm 1 (``refine.bin_stats``), the edges-only 1-d refinement and the
-2-d count grid must give exactly what the per-value and per-bin loops
-kept below as the reference give."""
+Algorithm 1 (``refine.bin_stats``), the pass loop of 1-d and 2-d
+refinement and the 2-d count grid must give exactly what the per-value
+and per-bin loops kept below and in ``tests/reference.py`` give."""
 import math
 
 import numpy as np
@@ -29,7 +29,7 @@ from repro.core.storage import (
     golomb_decode,
     golomb_encode,
 )
-from tests.reference import n_bits, read_unary, write_unary
+from tests.reference import n_bits, read_unary, reference_refine_2d, write_unary
 
 
 def reference_golomb_encode(writer: BitWriter, values: np.ndarray, m: int) -> None:
@@ -79,7 +79,8 @@ def reference_marginal_meta(values: np.ndarray, edges: np.ndarray) -> Hist1D:
 
 def _reference_refine_1d_rec(x, e_lo, e_hi, M, alpha, out) -> None:
     """Algorithm 2, emitting each leaf bin's upper edge and metadata as
-    it goes."""
+    it goes (no bin cap: the tests' columns stay far below
+    ``MAX_BINS_1D``)."""
 
     def emit(vmin, vmax, uniq):
         out["edges"].append(e_hi)
@@ -93,8 +94,7 @@ def _reference_refine_1d_rec(x, e_lo, e_hi, M, alpha, out) -> None:
     nu = len(uvals)
     if nu == 1:
         return emit(uvals[0], uvals[0], 1)
-    at_cap = len(out["edges"]) >= out["max_bins"]
-    if len(x) < M or at_cap or is_uniform(x, e_lo, e_hi, nu, alpha).uniform:
+    if len(x) < M or is_uniform(x, e_lo, e_hi, nu, alpha).uniform:
         return emit(uvals[0], uvals[-1], nu)
     z = _split_point(x, e_lo, e_hi)
     if z is None:
@@ -104,13 +104,13 @@ def _reference_refine_1d_rec(x, e_lo, e_hi, M, alpha, out) -> None:
     _reference_refine_1d_rec(x[~left], z, e_hi, M, alpha, out)
 
 
-def reference_refine_1d(values, initial_edges, M, alpha, max_bins=MAX_BINS_1D) -> Hist1D:
+def reference_refine_1d(values, initial_edges, M, alpha) -> Hist1D:
     """The bin-by-bin emitter: metadata per leaf, counts from
     ``np.histogram``."""
     x = np.asarray(values, dtype=np.float64)
     x = x[~np.isnan(x)]
     edges0 = np.asarray(initial_edges, dtype=np.float64)
-    out = {"edges": [], "vmin": [], "vmax": [], "uniq": [], "max_bins": max_bins}
+    out = {"edges": [], "vmin": [], "vmax": [], "uniq": []}
     last = len(edges0) - 2
     for t in range(len(edges0) - 1):
         lo, hi = edges0[t], edges0[t + 1]
@@ -255,7 +255,7 @@ class TestMarginalMeta:
 
 
 @st.composite
-def refine_cases(draw) -> tuple[np.ndarray, np.ndarray, int, int]:
+def refine_cases(draw) -> tuple[np.ndarray, np.ndarray, int]:
     """Integer-valued columns over a few initial bins, with runs of one
     value, values on the top edge, NaNs and values outside the edges."""
     lo = draw(st.integers(-5, 5))
@@ -269,24 +269,72 @@ def refine_cases(draw) -> tuple[np.ndarray, np.ndarray, int, int]:
     )
     values = np.array(draw(st.lists(pool, max_size=300)), dtype=np.float64)
     M = draw(st.sampled_from([1, 2, 4, 8, 20]))
-    max_bins = draw(st.sampled_from([2, 5, MAX_BINS_1D]))
-    return values, edges0, M, max_bins
+    return values, edges0, M
+
+
+@st.composite
+def pair_values(draw, xs: np.ndarray, ex: np.ndarray) -> np.ndarray:
+    """A second column for ``xs`` on [0, 30], with NaNs: drawn on its own,
+    or a jittered copy of ``xs`` so the pair is correlated."""
+    n = len(xs)
+    pool = st.one_of(st.integers(0, 30).map(float), st.just(float("nan")))
+    ys = np.array(draw(st.lists(pool, min_size=n, max_size=n)), dtype=np.float64)
+    if draw(st.booleans()):
+        jitter = np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+        ys = np.clip(np.round((xs - ex[0]) * 30 / (ex[-1] - ex[0])) + jitter, 0, 30)
+    return ys
 
 
 class TestRefine:
     @given(refine_cases(), st.sampled_from([0.001, 0.05, 0.5]))
-    @example((np.array([9.0] * 30 + [10.0] * 30), np.array([0.0, 10.0]), 8, MAX_BINS_1D), 0.001)
+    @example((np.array([9.0] * 30 + [10.0] * 30), np.array([0.0, 10.0]), 8), 0.001)
     @settings(max_examples=400, deadline=None)
     def test_1d_matches_the_bin_by_bin_emitter(self, case, alpha):
-        values, edges0, M, max_bins = case
-        got = refine_1d(values, edges0, M, alpha, max_bins)
-        assert_hist_equal(got, reference_refine_1d(values, edges0, M, alpha, max_bins))
+        """Below the bin cap the passes split exactly the bins the
+        recursion splits."""
+        values, edges0, M = case
+        got = refine_1d(values, edges0, M, alpha)
+        assert_hist_equal(got, reference_refine_1d(values, edges0, M, alpha))
         assert np.all(np.diff(got.edges) > 0)
+
+    @given(
+        refine_cases(),
+        st.sampled_from([2, 5, MAX_BINS_1D]),
+        st.sampled_from([0.001, 0.05, 0.5]),
+    )
+    @example((np.arange(40.0), np.array([0.0, 20.0, 39.0]), 1), 2, 0.5)
+    @settings(max_examples=400, deadline=None)
+    def test_1d_cap_keeps_initial_edges(self, case, max_bins, alpha):
+        """At most ``max_bins`` bins, or the initial ones if they are
+        more, and every initial edge kept."""
+        values, edges0, M = case
+        got = refine_1d(values, edges0, M, alpha, max_bins)
+        assert got.k <= max(max_bins, len(edges0) - 1)
+        assert np.all(np.isin(edges0, got.edges))
+        assert np.all(np.diff(got.edges) > 0)
+
+    @given(
+        refine_cases(),
+        st.sampled_from([2, 3, 5, 512]),
+        st.sampled_from([0.001, 0.05, 0.5]),
+        st.data(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_2d_matches_the_x_y_pass_loop(self, case, max_bins, alpha, data):
+        xs, ex, M = case
+        xs = np.where(np.isnan(xs), xs, np.clip(xs, ex[0], ex[-1]))
+        ys = data.draw(pair_values(xs, ex))
+        ey = np.array([0.0, 30.0])
+        got = refine_2d(xs, ys, ex, ey, 0, 1, M, alpha, max_bins)
+        want = reference_refine_2d(xs, ys, ex, ey, 0, 1, M, alpha, max_bins)
+        assert np.array_equal(got.counts, want.counts)
+        assert_hist_equal(got.dim_i, want.dim_i)
+        assert_hist_equal(got.dim_j, want.dim_j)
 
     @given(refine_cases(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_2d_counts_match_histogram2d(self, case, data):
-        xs, ex, M, _ = case
+        xs, ex, M = case
         n = len(xs)
         ys = np.array(
             data.draw(st.lists(st.integers(0, 30).map(float), min_size=n, max_size=n)),

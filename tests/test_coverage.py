@@ -216,6 +216,7 @@ class TestLiteralsOnTheGrid:
     @given(grid_column())
     @example(([0.0, 2.01, 2.02, 5.0], 2.01))  # 200.99999999999997 at scale 100
     @example(([9999.98, 9999.99, 10000.0], 9999.99))  # a large minval
+    @example(([-1674353.7, -1674353.6], -1674353.6))  # 0.9999999986 at scale 10
     def test_encoded_region_counts_the_rows_duckdb_counts(self, case):
         values, lit = case
         pdf = pd.DataFrame({"x": values})

@@ -97,7 +97,7 @@ def test_max_bins_cap():
     # adversarial: mixture of many point masses
     x = np.round(rng.pareto(0.3, 50_000)).clip(0, 1e7)
     h = refine_1d(x, np.array([0.0, 1e7]), M=20, alpha=0.001, max_bins=64)
-    assert h.k <= 80  # cap plus slack for in-flight recursion emits
+    assert h.k <= 64
     _check_invariants(h, x)
 
 

@@ -192,7 +192,7 @@ class TestCorruptSynopsis:
         rng = np.random.default_rng(6)
         a = rng.integers(0, 300, 600).astype(float)
         pdf = pd.DataFrame({"a": a, "b": np.round(a + rng.normal(0, 9, 600)), "c": a % 7})
-        return build_local(pdf)
+        return build_local(pdf, seeds={"a": np.array([100.0, 200.0])})
 
     @pytest.mark.parametrize("pair", [(7, 1), (1, 0), (0, 0), (0, 2)])
     def test_bad_pair_rejected(self, three_columns, pair):
@@ -221,6 +221,16 @@ class TestCorruptSynopsis:
         ph = copy.deepcopy(three_columns)
         getattr(ph.hists2d[(0, 2)], owner).edges[at] += shift
         with pytest.raises(CorruptSynopsis, match=r"pair \(0, 2\).*outer edges"):
+            deserialize(serialize(ph))
+
+    def test_pair_interior_edge_moved_rejected(self, three_columns):
+        """A pair dimension keeps every 1-d edge of its column: with one
+        moved, queries would map the pair's bins onto the wrong 1-d bins."""
+        ph = copy.deepcopy(three_columns)
+        edges = ph.hists2d[(0, 2)].dim_i.edges
+        t = int(np.flatnonzero(edges == 100.0)[0])
+        edges[t] = (edges[t] + edges[t + 1]) / 2
+        with pytest.raises(CorruptSynopsis, match=r"pair \(0, 2\): column 0's 1-d"):
             deserialize(serialize(ph))
 
 
