@@ -28,6 +28,17 @@ from repro.gd.preprocess import ColumnInfo
 from repro.queries import NO_ANSWER, AQPResult, Query, QueryError, node_columns
 from repro.stats import norm_cdf
 
+#: Gaussian components of a density (at most; fewer for few unique values).
+_GMM_K = 6
+#: EM iterations of a density fit.
+_GMM_ITERS = 60
+#: hidden units and mixture components of a regression network.
+_MDN_HIDDEN = 48
+_MDN_K = 5
+#: Adam minibatch size and learning rate of a regression fit.
+_MDN_BATCH = 256
+_MDN_LR = 2e-3
+
 
 # ---------------------------------------------------------------------------
 # Density: 1-d Gaussian mixture via EM
@@ -40,17 +51,17 @@ class GMM1D:
     sigmas: np.ndarray
 
     @classmethod
-    def fit(cls, x: np.ndarray, k: int = 6, iters: int = 60, seed: int = 0) -> "GMM1D":
+    def fit(cls, x: np.ndarray, seed: int = 0) -> "GMM1D":
         rng = np.random.default_rng(seed)
         x = x[~np.isnan(x)]
         if len(x) == 0:
             return cls(np.ones(1), np.zeros(1), np.ones(1))
-        k = min(k, max(1, len(np.unique(x))))
+        k = min(_GMM_K, max(1, len(np.unique(x))))
         mus = np.quantile(x, np.linspace(0.05, 0.95, k))
         sig = max(x.std() / k, 1e-3)
         sigmas = np.full(k, sig)
         w = np.full(k, 1.0 / k)
-        for _ in range(iters):
+        for _ in range(_GMM_ITERS):
             # E-step (log-domain for stability)
             z = (x[:, None] - mus[None, :]) / sigmas[None, :]
             logp = -0.5 * z**2 - np.log(sigmas[None, :]) + np.log(w[None, :] + 1e-300)
@@ -90,13 +101,12 @@ class GMM1D:
 class MDN:
     """1-input mixture density network: tanh hidden layer -> K Gaussians."""
 
-    def __init__(self, hidden: int = 48, k: int = 5, seed: int = 0):
+    def __init__(self, seed: int = 0):
         rng = np.random.default_rng(seed)
-        self.H, self.K = hidden, k
-        self.W1 = rng.normal(0, 0.5, (1, hidden))
-        self.b1 = np.zeros(hidden)
-        self.W2 = rng.normal(0, 0.1, (hidden, 3 * k))
-        self.b2 = np.zeros(3 * k)
+        self.W1 = rng.normal(0, 0.5, (1, _MDN_HIDDEN))
+        self.b1 = np.zeros(_MDN_HIDDEN)
+        self.W2 = rng.normal(0, 0.1, (_MDN_HIDDEN, 3 * _MDN_K))
+        self.b2 = np.zeros(3 * _MDN_K)
         self.x_mu = self.y_mu = 0.0
         self.x_sd = self.y_sd = 1.0
 
@@ -107,22 +117,14 @@ class MDN:
     def _forward(self, xs: np.ndarray):
         h = np.tanh(xs[:, None] @ self.W1 + self.b1)
         out = h @ self.W2 + self.b2
-        K = self.K
+        K = _MDN_K
         logits, mu, logsig = out[:, :K], out[:, K : 2 * K], np.clip(out[:, 2 * K :], -4, 4)
         logits = logits - logits.max(axis=1, keepdims=True)
         pi = np.exp(logits)
         pi /= pi.sum(axis=1, keepdims=True)
         return h, pi, mu, np.exp(logsig), logsig
 
-    def fit(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        epochs: int = 60,
-        batch: int = 256,
-        lr: float = 2e-3,
-        seed: int = 0,
-    ) -> None:
+    def fit(self, x: np.ndarray, y: np.ndarray, epochs: int = 60, seed: int = 0) -> None:
         ok = ~(np.isnan(x) | np.isnan(y))
         x, y = x[ok], y[ok]
         if len(x) == 0:
@@ -138,8 +140,8 @@ class MDN:
         t = 0
         for _ in range(epochs):
             order = rng.permutation(len(xs))
-            for s in range(0, len(xs), batch):
-                idx = order[s : s + batch]
+            for s in range(0, len(xs), _MDN_BATCH):
+                idx = order[s : s + _MDN_BATCH]
                 xb, yb = xs[idx], ys[idx]
                 grads = self._grads(xb, yb)
                 t += 1
@@ -150,7 +152,7 @@ class MDN:
                     vi += 0.001 * g * g
                     mhat = mi / (1 - 0.9**t)
                     vhat = vi / (1 - 0.999**t)
-                    p -= lr * mhat / (np.sqrt(vhat) + 1e-8)
+                    p -= _MDN_LR * mhat / (np.sqrt(vhat) + 1e-8)
 
     def _grads(self, xb: np.ndarray, yb: np.ndarray):
         n = len(xb)
@@ -241,8 +243,9 @@ class DBEstLite:
         return sum(t.train_seconds for t in self.templates.values())
 
     # -- query support ----------------------------------------------------
-    def _pred_region(self, q: Query) -> tuple[str, cov.Region]:
-        """Single-predicate-column queries only (DBEst++ limitation)."""
+    def pred_region(self, q: Query) -> tuple[str, cov.Region]:
+        """The predicate column of ``q`` and its region. Only queries on one
+        predicate column are supported (DBEst++ limitation)."""
         cols = node_columns(q.where)
         if q.where is None or len(cols) != 1:
             raise Unsupported("DBEst++-lite needs exactly one predicate column")
@@ -252,7 +255,7 @@ class DBEstLite:
         if q.func not in self.SUPPORTED or q.group_by is not None:
             return False
         try:
-            self._pred_region(q)
+            self.pred_region(q)
             return True
         except Unsupported:
             return False
@@ -264,7 +267,7 @@ class DBEstLite:
             raise Unsupported("DBEst++-lite does not answer GROUP BY")
         if q.col not in self.by_name:
             raise QueryError(f"unknown column {q.col!r}")
-        pred_col, region = self._pred_region(q)
+        pred_col, region = self.pred_region(q)
         tpl = self.train_template(q.col, pred_col)
         p = tpl.density.prob_region(region)
         if q.func == "COUNT":

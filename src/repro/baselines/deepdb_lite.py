@@ -25,6 +25,13 @@ from repro.gd.preprocess import ColumnInfo
 from repro.queries import NO_ANSWER, AQPResult, Node, Query, QueryError
 from repro.stats import Z_99
 
+#: a leaf's histogram has at most this many bins.
+_MAX_LEAF_BINS = 64
+#: a node with fewer rows than this becomes a product of leaves.
+_MIN_INSTANCES = 400
+#: columns whose rank correlation exceeds this in magnitude stay together.
+_CORR_THRESH = 0.3
+
 
 # ---------------------------------------------------------------------------
 # Leaves
@@ -85,16 +92,16 @@ class Leaf:
         return m1, m2
 
 
-def _build_leaf(col: int, values: np.ndarray, max_bins: int = 64) -> Leaf:
+def _build_leaf(col: int, values: np.ndarray) -> Leaf:
     ok = values[~np.isnan(values)]
     p_null = 1.0 - len(ok) / len(values) if len(values) else 0.0
     if len(ok) == 0:
         return Leaf(col, np.zeros(1), np.zeros(1), np.ones(1), 1.0)
     uv, counts = np.unique(ok, return_counts=True)
-    if len(uv) <= max_bins:
+    if len(uv) <= _MAX_LEAF_BINS:
         prob = counts / counts.sum()
         return Leaf(col, uv.astype(float), uv.astype(float), prob, p_null)
-    qs = np.quantile(ok, np.linspace(0, 1, max_bins + 1))
+    qs = np.quantile(ok, np.linspace(0, 1, _MAX_LEAF_BINS + 1))
     qs = np.unique(qs)
     hist, edges = np.histogram(ok, bins=qs)
     prob = hist / hist.sum()
@@ -124,38 +131,31 @@ class SumNode:
         return len(self.weights) + sum(c.n_params for c in self.children)
 
 
-def _prob(node, regions: dict[int, cov.Region]) -> float:
+def _evaluate(node, agg: int, regions: dict[int, cov.Region]) -> tuple[float, float, float]:
+    """``(P(regions), E[X_agg 1(regions)], E[X_agg^2 1(regions)])`` by one
+    SPN recursion. A leaf of another column contributes its probability
+    as the factor of all three."""
     if isinstance(node, Leaf):
-        return node.prob_region(regions.get(node.col))
-    if isinstance(node, ProductNode):
-        p = 1.0
-        for c in node.children:
-            p *= _prob(c, regions)
-        return p
-    return float(sum(w * _prob(c, regions) for w, c in zip(node.weights, node.children)))
-
-
-def _moments(node, agg: int, regions: dict[int, cov.Region]) -> tuple[float, float]:
-    """(E[X_agg 1(regions)], E[X_agg^2 1(regions)]) by SPN recursion."""
-    if isinstance(node, Leaf):
+        r = regions.get(node.col)
+        p = node.prob_region(r)
         if node.col == agg:
-            r = regions.get(agg)
-            return node.moments_region(r)
-        p = node.prob_region(regions.get(node.col))
-        return p, p  # multiplicative factor applied by the Product parent
+            return (p, *node.moments_region(r))
+        return p, p, p
     if isinstance(node, ProductNode):
-        m1 = m2 = 1.0
+        p = m1 = m2 = 1.0
         for c in node.children:
-            c1, c2 = _moments(c, agg, regions)
+            cp, c1, c2 = _evaluate(c, agg, regions)
+            p *= cp
             m1 *= c1
             m2 *= c2
-        return m1, m2
-    m1 = m2 = 0.0
+        return p, m1, m2
+    p = m1 = m2 = 0.0
     for w, c in zip(node.weights, node.children):
-        c1, c2 = _moments(c, agg, regions)
+        cp, c1, c2 = _evaluate(c, agg, regions)
+        p += w * cp
         m1 += w * c1
         m2 += w * c2
-    return m1, m2
+    return float(p), m1, m2
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +175,12 @@ def _kmeans2(X: np.ndarray, rng, iters: int = 8) -> np.ndarray:
     return lab
 
 
-def _column_groups(X: np.ndarray, thresh: float) -> list[list[int]]:
+def _column_groups(X: np.ndarray) -> list[list[int]]:
     d = X.shape[1]
     R = pd.DataFrame(X).rank().to_numpy()
     C = np.corrcoef(R, rowvar=False)
     C = np.nan_to_num(np.atleast_2d(C), nan=0.0)
-    adj = np.abs(C) > thresh
+    adj = np.abs(C) > _CORR_THRESH
     seen = np.zeros(d, dtype=bool)
     groups = []
     for s in range(d):
@@ -199,25 +199,23 @@ def _column_groups(X: np.ndarray, thresh: float) -> list[list[int]]:
     return groups
 
 
-def _learn(
-    X: np.ndarray, cols: list[int], rng, min_instances: int, thresh: float, depth: int
-):
+def _learn(X: np.ndarray, cols: list[int], rng, depth: int):
     n, d = X.shape
     if d == 1:
         return _build_leaf(cols[0], X[:, 0])
-    if n < min_instances or depth > 12:
+    if n < _MIN_INSTANCES or depth > 12:
         return ProductNode([_build_leaf(cols[k], X[:, k]) for k in range(d)])
     filled = np.where(np.isnan(X), np.nanmean(np.where(np.isnan(X), np.nan, X), axis=0), X)
     filled = np.nan_to_num(filled, nan=0.0)
     # RSPN-style: the first levels cluster rows before any column split,
     # so per-cluster marginals are captured (this is also what makes real
     # DeepDB models MB-sized).
-    force_rows = depth < 2 and n >= 2 * min_instances
+    force_rows = depth < 2 and n >= 2 * _MIN_INSTANCES
     if not force_rows:
-        groups = _column_groups(filled, thresh)
+        groups = _column_groups(filled)
         if len(groups) > 1:
             return ProductNode(
-                [_learn(X[:, g], [cols[k] for k in g], rng, min_instances, thresh, depth + 1) for g in groups]
+                [_learn(X[:, g], [cols[k] for k in g], rng, depth + 1) for g in groups]
             )
     std = filled.std(axis=0)
     std[std == 0] = 1.0
@@ -226,10 +224,7 @@ def _learn(
         return ProductNode([_build_leaf(cols[k], X[:, k]) for k in range(d)])
     parts = [X[lab == 0], X[lab == 1]]
     w = np.array([len(p) for p in parts], dtype=float)
-    return SumNode(
-        w / w.sum(),
-        [_learn(p, cols, rng, min_instances, thresh, depth + 1) for p in parts],
-    )
+    return SumNode(w / w.sum(), [_learn(p, cols, rng, depth + 1) for p in parts])
 
 
 # ---------------------------------------------------------------------------
@@ -241,24 +236,14 @@ class DeepDBLite:
 
     SUPPORTED = ("COUNT", "SUM", "AVG")
 
-    def __init__(
-        self,
-        sample: pd.DataFrame,
-        infos: list[ColumnInfo],
-        n_rows: int,
-        min_instances: int = 400,
-        corr_thresh: float = 0.3,
-        seed: int = 0,
-    ):
+    def __init__(self, sample: pd.DataFrame, infos: list[ColumnInfo], n_rows: int, seed: int = 0):
         self.infos = infos
         self.by_name = {i.name: i for i in infos}
         self.col_idx = {i.name: k for k, i in enumerate(infos)}
         self.n_rows = n_rows
         self.n_train = len(sample)
         X = sample[[i.name for i in infos]].to_numpy(dtype="float64")
-        self.root = _learn(
-            X, list(range(len(infos))), np.random.default_rng(seed), min_instances, corr_thresh, 0
-        )
+        self.root = _learn(X, list(range(len(infos))), np.random.default_rng(seed), 0)
 
     @property
     def size_bytes(self) -> int:
@@ -291,7 +276,7 @@ class DeepDBLite:
         agg = self.col_idx[q.col]
         # The aggregation column must be non-null (COUNT(col) semantics).
         regions.setdefault(agg, cov.FULL)
-        p = _prob(self.root, regions)
+        p, m1, m2 = _evaluate(self.root, agg, regions)
         se_p = np.sqrt(max(p * (1 - p), 0.0) / self.n_train)
         count = AQPResult(
             self.n_rows * p,
@@ -300,7 +285,6 @@ class DeepDBLite:
         )
         if q.func == "COUNT":
             return count
-        m1, m2 = _moments(self.root, agg, regions)
         se_m = np.sqrt(max(m2 - m1 * m1, 0.0) / self.n_train)
         if q.func == "SUM":
             r = AQPResult(

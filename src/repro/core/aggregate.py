@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from repro.core.coverage import Bounded
-from repro.core.hypothesis import sub_bin_count
+from repro.core.hypothesis import sub_bin_count, tested
 from repro.core.model import ColumnState
 from repro.queries import NO_ANSWER, AQPResult
 
@@ -106,7 +106,7 @@ def _extreme(w, col, rho, M, single_column, first: bool) -> AQPResult:
         if ti is None:
             ti = t
     inner = far[ti]
-    if single_column and u[ti] > 2 and h[ti] > M:
+    if single_column and u[ti] > 2 and tested(h[ti], M):
         s = sub_bin_count(int(u[ti]))
         delta = (far[ti] - near[ti]) / s
         a = int(np.floor(s * w.lo[ti] / h[ti])) if h[ti] > 0 else 0

@@ -86,10 +86,7 @@ def build_synopsis(
     if use_gd_bases:
         head = sample.iloc[:GD_SAMPLE_ROWS]
         gd_plan = greedygd.choose_plan(head, infos)
-        seeds = {
-            c: v[: 10 * _max_edges(ns, M)]
-            for c, v in greedygd.base_edges(head, gd_plan).items()
-        }
+        seeds = greedygd.base_edges(head, gd_plan)
     timings["gd"] = time.perf_counter() - t0
 
     # Widen with the full-data encoded range so sampled extrema don't truncate.

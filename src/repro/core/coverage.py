@@ -22,7 +22,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from repro.core.hypothesis import sub_bin_count
+from repro.core.hypothesis import sub_bin_count, tested
 from repro.core.model import Hist1D
 from repro.queries import OPS, Cond, Group, Node, QueryError
 from repro.stats import chi2_critical
@@ -171,6 +171,10 @@ class Bounded(NamedTuple):
     lo: np.ndarray
     hi: np.ndarray
 
+    def map(self, f) -> "Bounded":
+        """``f`` applied to the vector and to each of its bounds."""
+        return Bounded(f(self.est), f(self.lo), f(self.hi))
+
 
 def region_coverage(region: Region, hist: Hist1D, M: int, alpha: float) -> Bounded:
     """Coverage of ``region`` for every bin of ``hist``: a column's 1-d
@@ -244,7 +248,7 @@ def coverage_bounds(
     for t, (b, n, u) in enumerate(zip(beta.tolist(), h.tolist(), uniq.tolist())):
         if not (0.0 < b < 1.0 and n > 0):
             continue
-        if n < M:
+        if not tested(n, M):
             lo[t] = min(b, 1.0 / n)
             hi[t] = max(b, 1.0 - 1.0 / n)
             continue

@@ -26,12 +26,11 @@ class PHEngine:
         self.ph = ph
         self.infos = infos
         self.by_name = {info.name: info for info in infos}
-        self.col_idx = {info.name: i for i, info in enumerate(infos)}
 
     # -- columns ----------------------------------------------------------
     def _column(self, name: str) -> int:
         try:
-            return self.col_idx[name]
+            return self.by_name[name].index
         except KeyError:
             raise QueryError(f"unknown column {name!r}") from None
 

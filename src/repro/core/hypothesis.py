@@ -17,6 +17,14 @@ import numpy as np
 from repro.stats import chi2_critical
 
 
+def tested(n, M: int):
+    """Whether a bin of ``n`` sample points (a number or an array) is
+    tested for uniformity: it holds at least ``M`` points (Sec. 4.1).
+    Refinement tests only such bins, and only they get the bounds of a
+    passed test (Theorems 1 and 2) at query time."""
+    return n >= M
+
+
 def sub_bin_count(u: int) -> int:
     """Terrell–Scott sub-bin count ``s = ceil((2u)^(1/3))`` (Eq. 2)."""
     if u <= 0:

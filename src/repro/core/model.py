@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.stats import chi2_critical
-from repro.core.hypothesis import sub_bin_count
+from repro.core.hypothesis import sub_bin_count, tested
 
 #: minimum spacing between distinct values in the encoded integer domain.
 MU = 1.0
@@ -36,7 +36,7 @@ def centre_bounds(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted-centre bounds ``c^-, c^+`` per bin (Eq. 10).
 
-    Bins that passed the uniformity test (``h >= M``) get the tight
+    Bins that passed the uniformity test (``tested`` ones) get the tight
     Theorem-1 bounds; others get the adversarial bounds with minimum
     spacing ``MU``. Bounds are clipped to ``[vmin, vmax]`` and to bracket
     the midpoint, which the theory guarantees up to floating error.
@@ -47,16 +47,16 @@ def centre_bounds(
     c_lo = mid.copy()
     c_hi = mid.copy()
 
-    # Non-passing bins (h < M): h-u+1 points at one extremum, the rest
+    # Untested bins: h-u+1 points at one extremum, the rest
     # packed at minimum spacing next to it.
-    small = (counts < M) & (counts > 0)
+    big = tested(counts, M)
+    small = ~big & (counts > 0)
     if np.any(small):
         shift = (u[small] - 1.0) * u[small] * MU / (2.0 * h[small])
         c_lo[small] = vmin[small] + shift
         c_hi[small] = vmax[small] - shift
 
-    # Passing bins: Theorem 1.
-    big = counts >= M
+    # Tested bins: Theorem 1.
     if np.any(big):
         s = np.array([sub_bin_count(int(x)) for x in uniq[big]], dtype=np.float64)
         crit = np.array(
@@ -91,9 +91,6 @@ class Hist1D:
     def midpoints(self) -> np.ndarray:
         """Bin midpoints ``c_t`` — equidistant between actual min/max."""
         return (self.vmin + self.vmax) / 2.0
-
-    def centre_bounds(self, M: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-        return centre_bounds(self.counts, self.vmin, self.vmax, self.uniq, M, alpha)
 
 
 @dataclass
@@ -180,9 +177,9 @@ class PairwiseHist:
             hist = self.hists1d[i]
             h = hist.counts.astype(np.float64)
             safe_h = np.where(h > 0, h, 1.0)
-            centres = (hist.midpoints, *hist.centre_bounds(self.M, self.alpha))
+            bounds = centre_bounds(hist.counts, hist.vmin, hist.vmax, hist.uniq, self.M, self.alpha)
             st = self.derived[i] = ColumnState(
-                hist, *read_only(h, safe_h), read_only(*centres)
+                hist, *read_only(h, safe_h), read_only(hist.midpoints, *bounds)
             )
         return st
 

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from repro.core.hypothesis import is_uniform
+from repro.core.hypothesis import is_uniform, tested
 from repro.core.model import Hist1D, Hist2D
 
 #: hard caps so adversarial data cannot blow up a synopsis.
@@ -74,7 +74,7 @@ def _refine(
         cells = np.unravel_index(gkeys, ks)
         ends = np.append(starts[1:], len(keys))
         new: list[set[float]] = [set() for _ in ks]
-        for g in np.flatnonzero(ends - starts >= M):
+        for g in np.flatnonzero(tested(ends - starts, M)):
             lo = [e[c[g]] for e, c in zip(edges, cells)]
             hi = [e[c[g] + 1] for e, c in zip(edges, cells)]
             bounds = (*lo, *hi)

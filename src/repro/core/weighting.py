@@ -19,6 +19,7 @@ for sampling per Eq. 29 (implemented as the binomial-count standard error
 """
 from __future__ import annotations
 
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -65,7 +66,7 @@ def _prob_from_region(
         q = np.bincount(st.fmap, weights=st.Hf @ beta, minlength=k)
         return np.clip(q / col.safe_h, 0.0, 1.0)
 
-    return Bounded(to_probs(c.est), to_probs(c.lo), to_probs(c.hi))
+    return c.map(to_probs)
 
 
 def _eval_plan(ph: PairwiseHist, agg: int, plan: cov.Plan) -> Bounded:
@@ -75,31 +76,28 @@ def _eval_plan(ph: PairwiseHist, agg: int, plan: cov.Plan) -> Bounded:
 
 
 def _combine(parts: list[Bounded], kind: str) -> Bounded:
+    """Eq. 28: AND is the product of the parts' probabilities, OR is
+    ``1 - prod(1 - p)``. Both are monotone in each part, so the bounds
+    fold the same way as the estimate."""
     if kind == "and":
-        est = parts[0].est.copy()
-        lo = parts[0].lo.copy()
-        hi = parts[0].hi.copy()
-        for p in parts[1:]:
-            est *= p.est
-            lo *= p.lo
-            hi *= p.hi
-        return Bounded(est, lo, hi)
-    # OR: 1 - prod(1 - p); bounds are monotone in each child's bounds.
-    est = 1.0 - parts[0].est
-    lo = 1.0 - parts[0].lo
-    hi = 1.0 - parts[0].hi
-    for p in parts[1:]:
-        est *= 1.0 - p.est
-        lo *= 1.0 - p.lo
-        hi *= 1.0 - p.hi
-    return Bounded(1.0 - est, 1.0 - lo, 1.0 - hi)
+        return _product(parts)
+    return _product([p.map(_complement) for p in parts]).map(_complement)
+
+
+def _product(parts: list[Bounded]) -> Bounded:
+    return reduce(lambda a, b: Bounded(a.est * b.est, a.lo * b.lo, a.hi * b.hi), parts)
+
+
+def _complement(p: np.ndarray) -> np.ndarray:
+    return 1.0 - p
 
 
 def weights(ph: PairwiseHist, agg: int, plan: cov.Plan | None) -> Bounded:
     """Final weightings vector + bounds for aggregation column ``agg``."""
     if plan is None:
-        h = ph.column_state(agg).h
-        return Bounded(h.copy(), h.copy(), h.copy())
+        # Every bin satisfies an empty WHERE: p = 1, where Eq. 29 adds 0.
+        ones = np.ones(len(ph.column_state(agg).h))
+        return _weighting(ph, agg, Bounded(ones, ones, ones))
     return _weighting(ph, agg, _eval_plan(ph, agg, plan))
 
 

@@ -163,9 +163,7 @@ def run_dbest(
     for qi, q in enumerate(queries):
         if not model.supports(q):
             continue
-        from repro.queries import node_columns
-
-        pred_col = next(iter(node_columns(q.where)))
+        pred_col, _ = model.pred_region(q)
         if (
             (q.col, pred_col) not in model.templates
             and len(model.templates) >= max_templates

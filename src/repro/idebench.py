@@ -20,6 +20,9 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.gd.preprocess import _decimals_from, _rounding_errors
+from repro.stats import norm_cdf
+
 _Q = 512  # quantile grid resolution per numeric column
 
 
@@ -45,15 +48,6 @@ class IdeBenchModel:
         return [c.name for c in self.columns if c.kind == "num"]
 
 
-def _decimals(s: pd.Series) -> int:
-    v = s.dropna().to_numpy(dtype="float64")[:5000]
-    for k in range(7):
-        x = v * 10**k
-        if np.all(np.abs(x - np.round(x)) < 1e-6):
-            return k
-    return 6
-
-
 def fit(pdf: pd.DataFrame) -> IdeBenchModel:
     """Fit the normalisation + Gaussian model to an original dataset."""
     cols: list[ColumnModel] = []
@@ -74,7 +68,8 @@ def fit(pdf: pd.DataFrame) -> IdeBenchModel:
             )
             continue
         vals = s.dropna().to_numpy(dtype="float64")
-        dec = _decimals(s)
+        # The profile scan's detector, over the whole column.
+        dec = _decimals_from(_rounding_errors(vals), float(np.abs(vals).max(initial=0.0)))
         grid = np.quantile(vals, np.linspace(0, 1, _Q)) if len(vals) else np.zeros(_Q)
         cols.append(
             ColumnModel(
@@ -104,15 +99,13 @@ def fit(pdf: pd.DataFrame) -> IdeBenchModel:
     return IdeBenchModel(cols, chol)
 
 
-def _sample_partition(model: IdeBenchModel, n: int, seed: int) -> pd.DataFrame:
+def generate_pandas(model: IdeBenchModel, n: int, seed: int = 0) -> pd.DataFrame:
+    """``n`` rows drawn from ``model``, deterministic in ``seed``."""
     rng = np.random.default_rng(seed)
     num_names = model.numeric_names
     out = {}
     if num_names:
-        z = rng.standard_normal((n, len(num_names))) @ model.chol.T
-        from repro.stats import norm_cdf
-
-        u = norm_cdf(z)
+        u = norm_cdf(rng.standard_normal((n, len(num_names))) @ model.chol.T)
     for c in model.columns:
         if c.kind == "cat":
             vals = pd.Series(rng.choice(c.categories, size=n, p=c.probs), dtype=object)
@@ -134,10 +127,6 @@ def _sample_partition(model: IdeBenchModel, n: int, seed: int) -> pd.DataFrame:
     return pd.DataFrame(out)
 
 
-def generate_pandas(model: IdeBenchModel, n: int, seed: int = 0) -> pd.DataFrame:
-    return _sample_partition(model, n, seed)
-
-
 def generate_spark(
     spark: SparkSession, model: IdeBenchModel, n: int, seed: int = 0, partitions: int = 32
 ) -> DataFrame:
@@ -155,6 +144,6 @@ def generate_spark(
                 take = min(per, n - pid * per)
                 if take <= 0:
                     continue
-                yield _sample_partition(model, take, seed * 100_003 + pid)
+                yield generate_pandas(model, take, seed * 100_003 + pid)
 
     return spark.range(partitions).repartition(partitions).mapInPandas(gen, schema=schema)

@@ -1,12 +1,16 @@
 """Code that only the tests use: the DuckDB oracle for Spark results,
 exact execution on Spark, the decimal scale of a value array, the
 bit-at-a-time unary code of the reference Golomb coder, the
-per-dimension append path and the x/y pass loop of 2-d refinement."""
+per-dimension append path, the x/y pass loop of 2-d refinement, Eq. 28
+written out per vector and DeepDB-lite's separate probability and moment
+recursions."""
 import duckdb
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.baselines.deepdb_lite import Leaf, ProductNode
+from repro.core.coverage import Bounded, Region
 from repro.core.hypothesis import is_uniform
 from repro.core.model import Hist1D, Hist2D, PairwiseHist
 from repro.core.refine import (
@@ -237,3 +241,69 @@ def reference_refine_2d(
     kx, ky = len(ex) - 1, len(ey) - 1
     counts = np.bincount(xi * ky + yi, minlength=kx * ky).reshape(kx, ky)
     return Hist2D(i, j, counts, *bin_stats(np.sort(x), [ex]), *bin_stats(np.sort(y), [ey]))
+
+
+# ---------------------------------------------------------------------------
+# Eq. 28
+
+
+def reference_combine(parts: list[Bounded], kind: str) -> Bounded:
+    """AND/OR of per-bin probabilities, estimate and bounds written out
+    one by one, multiplied in place."""
+    if kind == "and":
+        est = parts[0].est.copy()
+        lo = parts[0].lo.copy()
+        hi = parts[0].hi.copy()
+        for p in parts[1:]:
+            est *= p.est
+            lo *= p.lo
+            hi *= p.hi
+        return Bounded(est, lo, hi)
+    est = 1.0 - parts[0].est
+    lo = 1.0 - parts[0].lo
+    hi = 1.0 - parts[0].hi
+    for p in parts[1:]:
+        est *= 1.0 - p.est
+        lo *= 1.0 - p.lo
+        hi *= 1.0 - p.hi
+    return Bounded(1.0 - est, 1.0 - lo, 1.0 - hi)
+
+
+# ---------------------------------------------------------------------------
+# DeepDB-lite
+
+
+def reference_spn_prob(node, regions: dict[int, Region]) -> float:
+    """P(regions) by SPN recursion."""
+    if isinstance(node, Leaf):
+        return node.prob_region(regions.get(node.col))
+    if isinstance(node, ProductNode):
+        p = 1.0
+        for c in node.children:
+            p *= reference_spn_prob(c, regions)
+        return p
+    return float(
+        sum(w * reference_spn_prob(c, regions) for w, c in zip(node.weights, node.children))
+    )
+
+
+def reference_spn_moments(node, agg: int, regions: dict[int, Region]) -> tuple[float, float]:
+    """(E[X_agg 1(regions)], E[X_agg^2 1(regions)]) by SPN recursion."""
+    if isinstance(node, Leaf):
+        if node.col == agg:
+            return node.moments_region(regions.get(agg))
+        p = node.prob_region(regions.get(node.col))
+        return p, p  # multiplicative factor applied by the Product parent
+    if isinstance(node, ProductNode):
+        m1 = m2 = 1.0
+        for c in node.children:
+            c1, c2 = reference_spn_moments(c, agg, regions)
+            m1 *= c1
+            m2 *= c2
+        return m1, m2
+    m1 = m2 = 0.0
+    for w, c in zip(node.weights, node.children):
+        c1, c2 = reference_spn_moments(c, agg, regions)
+        m1 += w * c1
+        m2 += w * c2
+    return m1, m2

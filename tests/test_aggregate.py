@@ -108,6 +108,28 @@ class TestMinMax:
         tmn = _truth(con, "MIN", "b", "b >= 700")
         assert abs(mn.est - tmn) <= 30  # within bin resolution
 
+    @pytest.mark.parametrize("M, inner", [(100, 60.0), (101, 90.0)])
+    def test_single_column_inner_bound_of_a_tested_bin(self, M, inner):
+        """A bin of exactly M points was tested (Sec. 4.1), so a
+        single-column MIN takes its inner bound from the sub-bin rule:
+        s = 3 sub-bins of width 30 over [0, 90], of which w_lo / h = 1/2
+        holds floor(1.5) = 1, so vmax - 30. With one point fewer than M
+        the bin is untested and the bound is its vmax."""
+        from repro.core.coverage import Bounded
+        from repro.core.model import Hist1D, PairwiseHist
+
+        h = Hist1D(
+            edges=np.array([0.0, 100.0]),
+            counts=np.array([100]),
+            vmin=np.array([0.0]),
+            vmax=np.array([90.0]),
+            uniq=np.array([10]),
+        )
+        ph = PairwiseHist(100, 100, M, 0.001, [h], {})
+        w = Bounded(np.array([80.0]), np.array([50.0]), np.array([100.0]))
+        r = aggregate("MIN", w, ph.column_state(0), rho=1.0, M=M, single_column=True)
+        assert (r.est, r.lo, r.hi) == (0.0, 0.0, inner)
+
     def test_empty_selection_returns_none(self, toy_ph, toy_plan):
         est = _run(toy_ph, "MIN", 0, toy_plan(Cond("b", "=", 2.5)))  # the empty region
         assert est.est is None and est.lo is None

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core import coverage as cov
 from repro.core import weighting as wt
@@ -18,6 +19,7 @@ from repro.core.build import build_local
 from repro.gd.preprocess import encode_pandas
 from repro.queries import OPS, Cond, Group
 
+from tests.reference import reference_combine
 from tests.test_grouped_differential import CATEGORICAL, INFOS, NUMERIC, _frame
 
 BY_NAME = {info.name: info for info in INFOS}
@@ -79,7 +81,7 @@ def _eval_node(ph, agg, node):
         parts.append(wt._prob_from_region(ph, agg, j, _node_region(sub)))
     for ch in others:
         parts.append(_eval_node(ph, agg, ch))
-    return wt._combine(parts, node.kind)
+    return reference_combine(parts, node.kind)
 
 
 # -- trees ------------------------------------------------------------------
@@ -166,3 +168,23 @@ def test_leaves_by_first_appearance_then_multi_column_children():
             cov.Combine("and", (cov.Leaf(0, ((-cov.INF, 149),)), cov.Leaf(1, ((81, cov.INF),)))),
         ),
     )
+
+
+def _bounded(k: int) -> st.SearchStrategy:
+    vec = hnp.arrays(np.float64, k, elements=st.floats(0.0, 1.0))
+    return st.builds(cov.Bounded, vec, vec, vec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["and", "or"]),
+    parts=st.integers(1, 6).flatmap(lambda k: st.lists(_bounded(k), min_size=1, max_size=4)),
+)
+def test_combine_equals_unrolled_reference(kind, parts):
+    """Eq. 28's fold gives the bits of the vector-by-vector loop it
+    replaced, for 1-4 parts, and leaves its parts as they were."""
+    before = [tuple(v.copy() for v in p) for p in parts]
+    got = wt._combine(parts, kind)
+    want = reference_combine(parts, kind)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+    assert all(_same(p, b) for p, b in zip(parts, before))

@@ -31,7 +31,7 @@ class TestGMM:
     def test_fits_mixture(self):
         rng = np.random.default_rng(1)
         x = np.concatenate([rng.normal(10, 1, 3000), rng.normal(50, 2, 3000)])
-        g = GMM1D.fit(x, k=4, seed=0)
+        g = GMM1D.fit(x, seed=0)
         assert g.prob_region(((-1000, 1000),)) == pytest.approx(1.0, abs=1e-3)
         # roughly half the mass below 30
         assert g.prob_region(((-1000, 30),)) == pytest.approx(0.5, abs=0.05)
@@ -68,7 +68,7 @@ class TestMDN:
         assert np.all(np.isfinite(m1))
 
     def test_param_count(self):
-        mdn = MDN(hidden=48, k=5)
+        mdn = MDN()
         assert mdn.n_params == 1 * 48 + 48 + 48 * 15 + 15
 
 
@@ -134,7 +134,7 @@ class TestTemplatesAndLimits:
 
     def test_no_predicate_unsupported(self, model):
         with pytest.raises(Unsupported):
-            model._pred_region(Query("COUNT", "y", None))
+            model.pred_region(Query("COUNT", "y", None))
 
 
 class TestLiteralEncoding:

@@ -2,10 +2,23 @@
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.baselines.deepdb_lite import DeepDBLite, Leaf, ProductNode, SumNode, Unsupported, _build_leaf
+from repro.baselines.deepdb_lite import (
+    DeepDBLite,
+    Leaf,
+    ProductNode,
+    SumNode,
+    Unsupported,
+    _build_leaf,
+    _evaluate,
+)
+from repro.core import coverage as cov
 from repro.gd.preprocess import ColumnInfo
 from repro.queries import Cond, Group, Query, QueryError
+
+from tests.reference import reference_spn_moments, reference_spn_prob
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +141,36 @@ class TestQueries:
         optimistic) — width should be a small fraction of the estimate."""
         r = model.execute(Query("COUNT", "x", Cond("x", "<", 100.0)))
         assert (r.hi - r.lo) / r.est < 0.2
+
+
+def _regions(top: int) -> st.SearchStrategy:
+    """A column's AND region: absent, empty, full, or the union of up to
+    two integer intervals around its domain ``[0, top]``."""
+    interval = st.tuples(st.integers(-5, top + 5), st.integers(0, top)).map(
+        lambda t: ((t[0], t[0] + t[1]),)
+    )
+    unions = st.lists(interval, min_size=1, max_size=2).map(
+        lambda rs: rs[0] if len(rs) == 1 else cov.region_union(*rs)
+    )
+    return st.one_of(st.none(), st.just(cov.EMPTY), st.just(cov.FULL), unions)
+
+
+class TestEvaluate:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        agg=st.integers(0, 2),
+        drawn=st.tuples(_regions(199), _regions(700), _regions(49)),
+    )
+    def test_one_pass_equals_separate_recursions(self, model, agg, drawn):
+        """The one SPN pass gives exactly the probability and the moments
+        of the two recursions it replaced."""
+        regions = {j: r for j, r in enumerate(drawn) if r is not None}
+        regions.setdefault(agg, cov.FULL)  # as execute() does
+        want = (
+            reference_spn_prob(model.root, regions),
+            *reference_spn_moments(model.root, agg, regions),
+        )
+        assert _evaluate(model.root, agg, regions) == want
 
 
 class TestLimitations:

@@ -66,6 +66,15 @@ def test_decimals_preserved(model):
     assert np.allclose(v, np.round(v), atol=1e-6)
 
 
+def test_decimals_read_from_the_whole_column():
+    """A column whose first 5,000 values have 1 decimal and whose later
+    values have 3 keeps 3, as the profile scan would find them."""
+    rng = np.random.default_rng(8)
+    x = np.concatenate([rng.integers(0, 1000, 5000) / 10, rng.integers(0, 100_000, 3000) / 1000])
+    model = idebench.fit(pd.DataFrame({"x": x}))
+    assert model.columns[0].decimals == 3
+
+
 def test_generate_spark_distributed(spark, model):
     sdf = idebench.generate_spark(spark, model, 30_000, seed=7, partitions=8)
     pdf = sdf.toPandas()

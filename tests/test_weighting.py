@@ -111,6 +111,17 @@ class TestSamplingWidening:
         assert rel_samp > rel_full
 
 
+    def test_no_predicate_is_counts_bit_for_bit_below_rho_one(self, toy_pdf):
+        """With no WHERE clause, p = 1 in every bin and Eq. 29 widens by
+        exactly 0: the weightings and both bounds are the 1-d counts."""
+        ph = build_local(toy_pdf.sample(n=3000, random_state=0), n_rows=len(toy_pdf))
+        assert ph.rho < 1.0
+        for agg in range(ph.d):
+            h = ph.column_state(agg).h
+            w = wt.weights(ph, agg, None)
+            assert [v.tobytes() for v in w] == [h.tobytes()] * 3, agg
+
+
 class TestNullSemantics:
     def test_nulls_fail_predicates(self, null_pdf):
         """Rows with NULL in the predicate column must not be counted:
